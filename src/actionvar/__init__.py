@@ -31,7 +31,7 @@ from .core import (
     make_params,
     natural_params,
 )
-from .laurent import LaurentSeries, binomial_series, binomial_sqrt, residue
+from .laurent import LaurentSeries, binomial_series, binomial_sqrt
 from .oracles import (
     HamiltonianKind,
     HamiltonianSpec,
@@ -99,7 +99,6 @@ __all__ = [
     "quantum_action_sho",
     "quantum_action_wr_pdx",
     "quantum_action_wr_xdp",
-    "residue",
     "riccati_pdx",
     "riccati_xdp",
     "rk4_period",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -173,11 +173,7 @@ def action_wr_xdp_first_order(params: OscillatorParams, ep: EnergyPoint) -> Acti
     (e/omega0)(1 + 3 eps / 16); comparison tables print this truncation so
     all first-order schemes are shown at the same order.
     """
-    require_weak_regime(ep, "action_wr_xdp_first_order")
-    j = (ep.e_tilde / params.omega0) * (1.0 + 3.0 * ep.epsilon / 16.0)
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.CLASSICAL_WR_XDP, order_epsilon=1, e_point=ep
-    )
+    return replace(action_wr_pdx(params, ep), scheme=SchemeTag.CLASSICAL_WR_XDP)
 
 
 def wr_momentum_series(

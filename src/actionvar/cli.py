@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .classical import (
     action_fullrel,
@@ -41,6 +42,7 @@ from .core import (
     OscillatorParams,
     QuadratureNotConverged,
     SchemeTag,
+    SpectrumEntry,
     UnknownScheme,
     energy_point,
     make_params,
@@ -67,20 +69,103 @@ _CONVERGENCE_ERRORS = (
 
 _DEFAULT_TOL = 1e-3
 
-_SCHEME_NOTES = {
-    "fullrel_pdx": (SchemeTag.CLASSICAL_FULLREL_PDX, "tabulated series in eps/(2+eps), coordinate contour"),
-    "fullrel_xdp": (SchemeTag.CLASSICAL_FULLREL_XDP, "tabulated series in eps, momentum contour"),
-    "weakrel_pdx": (SchemeTag.CLASSICAL_WR_PDX, "(e/omega0)(1 + 3 eps/16)"),
-    "weakrel_xdp": (SchemeTag.CLASSICAL_WR_XDP, "exact prefactor times branch-ratio series"),
-    "quadrature": (SchemeTag.CLASSICAL_FULLREL_PDX, "Gauss-Legendre contour integral oracle"),
-    "wr-pdx": (SchemeTag.QUANTUM_WR_PDX, "coordinate-form first-order spectrum"),
-    "wr-xdp": (SchemeTag.QUANTUM_WR_XDP, "momentum-form first-order spectrum"),
-    "jwkb": (SchemeTag.JWKB_WR, "semiclassical discretization of the classical action"),
-    "rs": (SchemeTag.RAYLEIGH_SCHRODINGER, "first-order expectation value of the p^4 term"),
-    "sho": (SchemeTag.QUANTUM_SHO_PDX, "harmonic spectrum (n + 1/2) hbar omega0"),
-    "aho": (SchemeTag.QUANTUM_AHO_PDX, "quartic-anharmonic first-order spectrum"),
-    "diag": (SchemeTag.QUANTUM_WR_PDX, "ladder-basis diagonalization oracle"),
+
+@dataclass(frozen=True)
+class _Scheme:
+    """One printed scheme and the oracle kind that checks it.
+
+    fn is an action function (params, ep) -> ActionResult when the oracle
+    is FULL_REL quadrature, else a level function
+    (spec, n) -> (energy, correction) on the Hamiltonian the oracle solves.
+    """
+
+    fn: Callable
+    tag: SchemeTag
+    oracle: HamiltonianKind
+    note: str
+
+
+def _pair(ev: SpectrumEntry) -> tuple[float, float]:
+    return ev.energy, ev.correction
+
+
+def _hw(spec: HamiltonianSpec) -> float:
+    return spec.params.hbar * spec.params.omega0
+
+
+def _rs_level(spec: HamiltonianSpec, n: int) -> tuple[float, float]:
+    shift = rs_shift_p4(spec.params, n)
+    return (n + 0.5) * _hw(spec) + shift, shift
+
+
+# table1 prints the FULL_REL schemes, table2 the WEAK_REL ones, and levels
+# takes any scheme that is not FULL_REL.
+_SCHEMES = {
+    "fullrel_pdx": _Scheme(
+        lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX),
+        SchemeTag.CLASSICAL_FULLREL_PDX, HamiltonianKind.FULL_REL,
+        "tabulated series in eps/(2+eps), coordinate contour",
+    ),
+    "fullrel_xdp": _Scheme(
+        lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP),
+        SchemeTag.CLASSICAL_FULLREL_XDP, HamiltonianKind.FULL_REL,
+        "tabulated series in eps, momentum contour",
+    ),
+    "weakrel_pdx": _Scheme(
+        action_wr_pdx,
+        SchemeTag.CLASSICAL_WR_PDX, HamiltonianKind.FULL_REL,
+        "(e/omega0)(1 + 3 eps/16)",
+    ),
+    "weakrel_xdp": _Scheme(
+        action_wr_xdp_first_order,
+        SchemeTag.CLASSICAL_WR_XDP, HamiltonianKind.FULL_REL,
+        "exact prefactor times branch-ratio series",
+    ),
+    "sho": _Scheme(
+        lambda spec, n: ((n + 0.5) * _hw(spec), 0.0),
+        SchemeTag.QUANTUM_SHO_PDX, HamiltonianKind.SHO,
+        "harmonic spectrum (n + 1/2) hbar omega0",
+    ),
+    "wr-pdx": _Scheme(
+        lambda spec, n: _pair(eigenvalues_wr_pdx(spec.params, n)),
+        SchemeTag.QUANTUM_WR_PDX, HamiltonianKind.WEAK_REL,
+        "coordinate-form first-order spectrum",
+    ),
+    "wr-xdp": _Scheme(
+        lambda spec, n: _pair(eigenvalues_wr_xdp(spec.params, n)),
+        SchemeTag.QUANTUM_WR_XDP, HamiltonianKind.WEAK_REL,
+        "momentum-form first-order spectrum",
+    ),
+    "jwkb": _Scheme(
+        lambda spec, n: _pair(jwkb_levels_wr(spec.params, n)),
+        SchemeTag.JWKB_WR, HamiltonianKind.WEAK_REL,
+        "semiclassical discretization of the classical action",
+    ),
+    "rs": _Scheme(
+        _rs_level,
+        SchemeTag.RAYLEIGH_SCHRODINGER, HamiltonianKind.WEAK_REL,
+        "first-order expectation value of the p^4 term",
+    ),
+    "aho": _Scheme(
+        lambda spec, n: _pair(eigenvalues_aho(spec.params, spec.delta, n)),
+        SchemeTag.QUANTUM_AHO_PDX, HamiltonianKind.QUARTIC_AHO,
+        "quartic-anharmonic first-order spectrum",
+    ),
 }
+
+_LEVEL_SCHEMES = [n for n, s in _SCHEMES.items() if s.oracle is not HamiltonianKind.FULL_REL]
+
+# Per oracle kind: its name in the output and how it solves that Hamiltonian.
+_ORACLES = {
+    HamiltonianKind.FULL_REL: ("quadrature", "Gauss-Legendre contour integral oracle"),
+    HamiltonianKind.WEAK_REL: ("diag", "ladder-basis diagonalization oracle"),
+    HamiltonianKind.QUARTIC_AHO: ("diag", "ladder-basis diagonalization oracle"),
+    HamiltonianKind.SHO: ("exact", "closed-form harmonic levels (n + 1/2) hbar omega0"),
+}
+
+
+def _checked_by(kind: HamiltonianKind) -> list[str]:
+    return [name for name, s in _SCHEMES.items() if s.oracle is kind]
 
 
 @dataclass
@@ -93,7 +178,6 @@ class RunConfig:
     n_max: int = 10
     delta: float = 0.0
     output_path: str | None = None
-    format: str = "table"
     show_scheme: bool = False
     tolerance: float = _DEFAULT_TOL
 
@@ -115,68 +199,49 @@ class RunConfig:
         return make_params(p.m, p.k, c, p.hbar)
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".12g")
-
-
 def _emit(rows: list[list], header: list[str], config: RunConfig) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    text = "\n".join(lines) + "\n"
+    """Print rows as an aligned table, and write them as CSV if asked."""
+    lines = [header] + [
+        [v if isinstance(v, str) else format(float(v), ".12g") for v in row] for row in rows
+    ]
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="ascii") as fh:
-                fh.write(text)
+                fh.write("\n".join(",".join(line) for line in lines) + "\n")
         except OSError as exc:
             raise IoFailure(f"cannot write {config.output_path}: {exc}") from exc
-    if config.format == "csv" or not config.output_path:
-        widths = [max(len(h), 14) for h in header]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            cells = [_fmt(v) if not isinstance(v, str) else v for v in row]
-            print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+    widths = [max(len(h), 14) for h in header]
+    for line in lines:
+        print("  ".join(c.ljust(w) for c, w in zip(line, widths)))
 
 
-def _print_scheme_notes(columns: list[str]) -> None:
+def _print_scheme_notes(names: list[str]) -> None:
+    """One line per scheme, then one naming what their shared oracle solves."""
     print("# column schemes:")
-    for name in columns:
-        if name in _SCHEME_NOTES:
-            tag, note = _SCHEME_NOTES[name]
-            print(f"#   {name}: {tag.value} -- {note}")
+    for name in names:
+        print(f"#   {name}: {_SCHEMES[name].tag.value} -- {_SCHEMES[name].note}")
+    kind = _SCHEMES[names[0]].oracle
+    oracle_name, note = _ORACLES[kind]
+    print(f"#   {oracle_name}: {kind.value} -- {note}")
     print()
 
 
 def cmd_table1(config: RunConfig) -> int:
     """Classical relativistic action, four schemes plus quadrature oracle."""
-    header = [
-        "eps",
-        "fullrel_pdx",
-        "fullrel_xdp",
-        "weakrel_pdx",
-        "weakrel_xdp",
-        "quadrature",
-        "max_pairwise_dev",
-    ]
+    columns = _checked_by(HamiltonianKind.FULL_REL)
+    header = ["eps", *columns, "quadrature", "max_pairwise_dev"]
     if config.show_scheme:
-        _print_scheme_notes(header[1:6])
+        _print_scheme_notes(columns)
     p = config.params
     rows = []
     for eps in config.epsilon_list:
         if eps == 0.0:
-            rows.append([eps, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+            rows.append([eps, *[1.0] * (len(columns) + 1), 0.0])
             continue
         e = eps * p.rest_energy
         ep = energy_point(p, e)
         unit = e / p.omega0
-        vals = [
-            action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX).j_value / unit,
-            action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP).j_value / unit,
-            action_wr_pdx(p, ep).j_value / unit,
-            action_wr_xdp_first_order(p, ep).j_value / unit,
-        ]
+        vals = [_SCHEMES[name].fn(p, ep).j_value / unit for name in columns]
         oracle = action_quadrature(HamiltonianSpec(HamiltonianKind.FULL_REL, p), e) / unit
         spread = max(vals + [oracle]) - min(vals + [oracle])
         rows.append([eps, *vals, oracle, spread])
@@ -189,28 +254,34 @@ def cmd_table2(config: RunConfig) -> int:
 
     All correction columns are in units of hbar*omega0.
     """
-    header = ["n", "wr-pdx", "wr-xdp", "jwkb", "rs", "diag", "max_dev_from_diag"]
+    columns = _checked_by(HamiltonianKind.WEAK_REL)
+    header = ["n", *columns, "diag", "max_dev_from_diag"]
     if config.show_scheme:
-        _print_scheme_notes(header[1:6])
-    p = config.ratio_params()
-    hw = p.hbar * p.omega0
-    n_max = config.n_max
-    diag_shift = _diag_shifts(HamiltonianSpec(HamiltonianKind.WEAK_REL, p), n_max, hw)
+        _print_scheme_notes(columns)
+    spec = _oracle_spec(HamiltonianKind.WEAK_REL, config)
+    hw = _hw(spec)
+    diag_shift = _oracle_shifts(spec, config.n_max)
     rows = []
-    for n in range(n_max + 1):
-        vals = [
-            eigenvalues_wr_pdx(p, n).correction / hw,
-            eigenvalues_wr_xdp(p, n).correction / hw,
-            jwkb_levels_wr(p, n).correction / hw,
-            rs_shift_p4(p, n) / hw,
-        ]
+    for n in range(config.n_max + 1):
+        vals = [_SCHEMES[name].fn(spec, n)[1] / hw for name in columns]
         oracle = diag_shift[n]
         rows.append([n, *vals, oracle, max(abs(v - oracle) for v in vals)])
     _emit(rows, header, config)
     return 0
 
 
-def _diag_shifts(spec: HamiltonianSpec, n_max: int, hw: float) -> list[float]:
+def _oracle_spec(kind: HamiltonianKind, config: RunConfig) -> HamiltonianSpec:
+    # c does not enter the quartic oscillator, so every kind can share
+    # ratio_params; only the quartic one takes delta.
+    delta = config.delta if kind is HamiltonianKind.QUARTIC_AHO else 0.0
+    return HamiltonianSpec(kind, config.ratio_params(), delta=delta)
+
+
+def _oracle_shifts(spec: HamiltonianSpec, n_max: int) -> list[float]:
+    """Oracle shifts from (n + 1/2) hbar omega0 in units of hbar omega0."""
+    if spec.kind is HamiltonianKind.SHO:
+        return [0.0] * (n_max + 1)
+    hw = _hw(spec)
     basis = 32
     while basis < 4 * (n_max + 1):
         basis *= 2
@@ -240,74 +311,23 @@ def cmd_frequency(config: RunConfig) -> int:
     return 0
 
 
-def _spectrum_rows(scheme: str, config: RunConfig) -> tuple[list[list], list[str]]:
-    p = config.ratio_params()
-    hw = p.hbar * p.omega0
-    n_max = config.n_max
-    entries: list[tuple[int, float, float]] = []
-    oracle_spec: HamiltonianSpec | None = None
-    if scheme == "sho":
-        entries = [(n, (n + 0.5) * hw, 0.0) for n in range(n_max + 1)]
-    elif scheme == "wr-pdx":
-        entries = [
-            (n, ev.energy, ev.correction)
-            for n, ev in ((n, eigenvalues_wr_pdx(p, n)) for n in range(n_max + 1))
-        ]
-        oracle_spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
-    elif scheme == "wr-xdp":
-        entries = [
-            (n, ev.energy, ev.correction)
-            for n, ev in ((n, eigenvalues_wr_xdp(p, n)) for n in range(n_max + 1))
-        ]
-        oracle_spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
-    elif scheme == "jwkb":
-        entries = [
-            (n, ev.energy, ev.correction)
-            for n, ev in ((n, jwkb_levels_wr(p, n)) for n in range(n_max + 1))
-        ]
-        oracle_spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
-    elif scheme == "rs":
-        entries = [
-            (n, (n + 0.5) * hw + rs_shift_p4(p, n), rs_shift_p4(p, n))
-            for n in range(n_max + 1)
-        ]
-        oracle_spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
-    elif scheme == "aho":
-        base = config.params
-        entries = [
-            (n, ev.energy, ev.correction)
-            for n, ev in (
-                (n, eigenvalues_aho(base, config.delta, n)) for n in range(n_max + 1)
-            )
-        ]
-        oracle_spec = HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, base, delta=config.delta)
-        hw = base.hbar * base.omega0
-    else:
-        raise UnknownScheme(f"no spectrum scheme named {scheme!r}")
-
-    header = ["n", "energy", "correction", "oracle_energy", "rel_diff", "ok"]
-    rows: list[list] = []
-    oracle_energy: list[float] | None = None
-    if scheme == "sho":
-        oracle_energy = [(n + 0.5) * hw for n in range(n_max + 1)]
-    elif oracle_spec is not None:
-        shifts = _diag_shifts(oracle_spec, n_max, hw)
-        oracle_energy = [(n + 0.5) * hw + shifts[n] * hw for n in range(n_max + 1)]
-    for n, energy, correction in entries:
-        if oracle_energy is None:
-            rows.append([n, energy, correction, "", "", ""])
-        else:
-            oe = oracle_energy[n]
-            rel = abs(energy - oe) / max(abs(oe), 1e-300)
-            rows.append([n, energy, correction, oe, rel, str(rel <= config.tolerance)])
-    return rows, header
-
-
 def cmd_levels(scheme: str, config: RunConfig) -> int:
-    """Spectrum of one scheme with an oracle column where available."""
-    if config.show_scheme and scheme in _SCHEME_NOTES:
-        _print_scheme_notes([scheme, "diag"])
-    rows, header = _spectrum_rows(scheme, config)
+    """Spectrum of one scheme with its oracle's energy beside each level."""
+    if scheme not in _LEVEL_SCHEMES:
+        raise UnknownScheme(f"no spectrum scheme named {scheme!r}")
+    if config.show_scheme:
+        _print_scheme_notes([scheme])
+    entry = _SCHEMES[scheme]
+    spec = _oracle_spec(entry.oracle, config)
+    hw = _hw(spec)
+    levels = [entry.fn(spec, n) for n in range(config.n_max + 1)]
+    shifts = _oracle_shifts(spec, config.n_max)
+    rows = []
+    for n, (energy, correction) in enumerate(levels):
+        oe = (n + 0.5) * hw + shifts[n] * hw
+        rel = abs(energy - oe) / max(abs(oe), 1e-300)
+        rows.append([n, energy, correction, oe, rel, str(rel <= config.tolerance)])
+    header = ["n", "energy", "correction", "oracle_energy", "rel_diff", "ok"]
     _emit(rows, header, config)
     return 0
 
@@ -409,7 +429,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         n_max=pick_int("nmax", getattr(args, "nmax", None), 10),
         delta=pick_float("delta", getattr(args, "delta", None), 0.0),
         output_path=pick("csv", args.csv),
-        format="csv" if pick("csv", args.csv) else "table",
         show_scheme=bool(args.show_scheme),
         tolerance=tol,
     )
@@ -446,7 +465,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("levels", help="spectrum CSV for one scheme")
-    sp.add_argument("--scheme", required=True, choices=["sho", "wr-pdx", "wr-xdp", "jwkb", "rs", "aho"])
+    sp.add_argument("--scheme", required=True, choices=_LEVEL_SCHEMES)
     sp.add_argument("--ratio", type=float, help="hbar*omega0 / m c^2")
     sp.add_argument("--nmax", type=int, help="highest quantum number")
     sp.add_argument("--delta", type=float, help="quartic strength (aho scheme)")

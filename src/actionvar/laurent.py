@@ -7,8 +7,8 @@ the trusted window, so a residue read from a series is either provably
 correct or refused with OrderInsufficient.
 
 Residue convention: for a counterclockwise origin-centred circle,
-(1/2pi) * contour integral of s dx = i * residue(s), where residue(s) is
-the coefficient of the power -1.
+(1/2pi) * contour integral of s dx = i * s.residue(), where s.residue()
+is the coefficient of the power -1.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from .core import InvalidExpansionPoint, OrderInsufficient
 
 __all__ = [
     "LaurentSeries",
-    "series_add",
-    "series_mul",
-    "series_derivative",
     "binomial_sqrt",
     "binomial_series",
-    "residue",
     "DEFAULT_EXTRA_ORDERS",
 ]
 
@@ -229,25 +225,6 @@ def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         None if lo == -math.inf else int(lo),
         None if hi == math.inf else int(hi),
     )
-
-
-# -- module-level operation aliases ------------------------------------------
-
-
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a + b
-
-
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
-
-
-def series_derivative(s: LaurentSeries) -> LaurentSeries:
-    return s.derivative()
-
-
-def residue(s: LaurentSeries) -> complex:
-    return s.residue()
 
 
 def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries:

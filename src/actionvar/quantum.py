@@ -245,33 +245,28 @@ def _wr_correction_layer(
     return p0, _solve_correction_layer(p0, rhs, params.hbar, n_coeffs)
 
 
-def wr_correction_pdx(
-    params: OscillatorParams, ep: EnergyPoint, derive: bool = False
-) -> tuple[float, float]:
+def _aho_correction_layer(
+    params: OscillatorParams, e: float
+) -> tuple[LaurentSeries, list[complex]]:
+    """P0 and u_0..u_2 of the delta^1 correction layer, driven by -2 m x^4."""
+    p0 = riccati_pdx(params, e, order=3 + DEFAULT_EXTRA_ORDERS).coefficients
+    rhs = LaurentSeries.term(4, -2.0 * params.m)
+    return p0, _solve_correction_layer(p0, rhs, params.hbar, 3)
+
+
+def wr_correction_pdx(params: OscillatorParams, ep: EnergyPoint) -> tuple[float, float]:
     """Modifier coefficients (B0, B1) of the relativistic momentum ansatz.
 
     The first-order factor multiplying the harmonic series is
     1 + (eps/4)[B0 - B1 (x/x2)^2] with B0 = 1 and
-    B1 = 1 + 7 hbar omega0 / (4 e).  With derive=True the pair is
-    re-derived from the correction-layer recurrence and the derived pair
-    is checked to contain the same two values (see wr_correction_derived
-    for how the two assignments compare).
+    B1 = 1 + 7 hbar omega0 / (4 e).  wr_correction_derived rebuilds the
+    pair from the correction-layer recurrence (with the two values in the
+    opposite slots).
     """
     require_weak_regime(ep, "wr_correction_pdx")
     if ep.e_tilde <= 0:
         raise NonPositiveEnergy(f"e_tilde must be > 0, got {ep.e_tilde}")
-    b0 = 1.0
-    b1 = 1.0 + 7.0 * params.hbar * params.omega0 / (4.0 * ep.e_tilde)
-    if derive:
-        d0, d1 = wr_correction_derived(params, ep)
-        closed = sorted((b0, b1))
-        derived = sorted((d0, d1))
-        for cv, dv in zip(closed, derived):
-            if abs(cv - dv) > 1e-10 * max(abs(cv), 1.0):
-                raise AssertionError(
-                    f"derived modifier pair {derived} does not match closed pair {closed}"
-                )
-    return b0, b1
+    return 1.0, 1.0 + 7.0 * params.hbar * params.omega0 / (4.0 * ep.e_tilde)
 
 
 def wr_correction_derived(
@@ -333,16 +328,16 @@ def quantum_action_wr_pdx_derived(
     )
 
 
-# -- weakly relativistic, momentum form (via the anharmonic mapping) ----------
+# -- weakly relativistic, momentum form ---------------------------------------
 
 
 def quantum_action_wr_xdp(params: OscillatorParams, ep: EnergyPoint) -> ActionResult:
     """Weakly relativistic quantum action, momentum form.
 
     J = e/omega0 - hbar/2 + (3 hbar/64)[1 + 4 e^2/(hbar omega0)^2] r with
-    r = hbar omega0 / m c^2.  The value is produced by mapping the
-    quartic-anharmonic action under delta/k^2 -> -1/(8 m c^2) and checked
-    against this closed form.
+    r = hbar omega0 / m c^2, evaluated in the hbar-safe form
+    e/omega0 - hbar/2 + (3/(64 m c^2))(hbar^2 omega0 + 4 e^2/omega0).  It
+    equals the quartic-anharmonic action under delta -> -k^2/(8 m c^2).
     """
     r = params.level_ratio
     if r > 0.1:
@@ -352,23 +347,12 @@ def quantum_action_wr_xdp(params: OscillatorParams, ep: EnergyPoint) -> ActionRe
             WeakRegimeWarning,
             stacklevel=2,
         )
-    hw = params.hbar * params.omega0
-    if hw > 0:
-        closed = (
-            ep.e_tilde / params.omega0
-            - params.hbar / 2.0
-            + (3.0 * params.hbar / 64.0) * (1.0 + 4.0 * (ep.e_tilde / hw) ** 2) * r
-        )
-    else:
-        closed = ep.e_tilde / params.omega0
-    delta_map = -params.k**2 / (8.0 * params.m * params.c**2)
-    mapped = quantum_action_aho(params, ep.e_tilde, delta_map).j_value
-    if abs(mapped - closed) > 1e-12 * max(abs(closed), 1.0):
-        raise AssertionError(
-            f"anharmonic-mapped action {mapped!r} disagrees with closed form {closed!r}"
-        )
+    e, w0, hbar = ep.e_tilde, params.omega0, params.hbar
+    j = e / w0 - hbar / 2.0 + (3.0 / (64.0 * params.rest_energy)) * (
+        hbar * hbar * w0 + 4.0 * e * e / w0
+    )
     return ActionResult(
-        j_value=closed, scheme=SchemeTag.QUANTUM_WR_XDP, order_epsilon=1, e_point=ep
+        j_value=j, scheme=SchemeTag.QUANTUM_WR_XDP, order_epsilon=1, e_point=ep
     )
 
 
@@ -487,11 +471,7 @@ def aho_coeffs_derived(
     """
     if e <= 0:
         raise NonPositiveEnergy(f"e must be > 0, got {e}")
-    n_coeffs = 3
-    order = n_coeffs + DEFAULT_EXTRA_ORDERS
-    p0 = riccati_pdx(params, e, order=order).coefficients
-    rhs = LaurentSeries.term(4, -2.0 * params.m)
-    u = _solve_correction_layer(p0, rhs, params.hbar, n_coeffs)
+    p0, u = _aho_correction_layer(params, e)
     k = params.k
     t = 2.0 * e / k
     b1, b2, b3 = (p0.coefficient(1), p0.coefficient(-1), p0.coefficient(-3))
@@ -530,10 +510,7 @@ def quantum_action_aho_residue(
     if e <= 0:
         raise NonPositiveEnergy(f"e must be > 0, got {e}")
     ep = energy_point(params, e)
-    order = 3 + DEFAULT_EXTRA_ORDERS
-    p0 = riccati_pdx(params, e, order=order).coefficients
-    rhs = LaurentSeries.term(4, -2.0 * params.m)
-    u = _solve_correction_layer(p0, rhs, params.hbar, 3)
+    p0, u = _aho_correction_layer(params, e)
     j = _real(1j * (p0.coefficient(-1) + delta * u[2]))
     return ActionResult(
         j_value=j, scheme=SchemeTag.QUANTUM_AHO_PDX, order_epsilon=1, e_point=ep

@@ -130,6 +130,16 @@ class TestLevels:
         assert float(rows[0][1]) == pytest.approx(0.5007506, abs=1e-6)
         assert all(row[5] == "True" for row in rows)
 
+    def test_show_scheme_names_the_aho_oracle(self, capsys):
+        code, out, _ = run(
+            capsys, "levels", "--scheme", "aho", "--nmax", "1", "--delta", "0.001", "--show-scheme"
+        )
+        assert code == 0
+        oracle_lines = [ln for ln in out.splitlines() if ln.startswith("#   diag:")]
+        assert len(oracle_lines) == 1
+        assert "quartic-aho" in oracle_lines[0]
+        assert "quantum-wr-pdx" not in oracle_lines[0]
+
     def test_tolerance_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ACTIONVAR_TOL", "1e-300")
         code, out, _ = run(capsys, "levels", "--scheme", "wr-pdx", "--nmax", "2")

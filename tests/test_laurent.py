@@ -11,10 +11,6 @@ from actionvar.laurent import (
     LaurentSeries,
     binomial_series,
     binomial_sqrt,
-    residue,
-    series_add,
-    series_derivative,
-    series_mul,
 )
 
 coeffs_strategy = st.dictionaries(
@@ -75,7 +71,7 @@ class TestWindows:
 
     def test_residue_allowed_inside_window(self):
         s = LaurentSeries({-1: 2.5}, trunc_low=-3)
-        assert residue(s) == 2.5
+        assert s.residue() == 2.5
 
     def test_add_intersects_windows(self):
         a = LaurentSeries({0: 1.0}, trunc_low=-2)
@@ -147,34 +143,34 @@ class TestAlgebraProperties:
     @settings(max_examples=60, deadline=None)
     def test_addition_commutes(self, a, b):
         sa, sb = LaurentSeries(a), LaurentSeries(b)
-        assert approx_equal(series_add(sa, sb), series_add(sb, sa))
+        assert approx_equal(sa + sb, sb + sa)
 
     @given(a=coeffs_strategy, b=coeffs_strategy)
     @settings(max_examples=60, deadline=None)
     def test_multiplication_commutes(self, a, b):
         sa, sb = LaurentSeries(a), LaurentSeries(b)
-        assert approx_equal(series_mul(sa, sb), series_mul(sb, sa))
+        assert approx_equal(sa * sb, sb * sa)
 
     @given(a=coeffs_strategy, b=coeffs_strategy, c=coeffs_strategy)
     @settings(max_examples=40, deadline=None)
     def test_distributive(self, a, b, c):
         sa, sb, sc = LaurentSeries(a), LaurentSeries(b), LaurentSeries(c)
-        lhs = series_mul(sa, series_add(sb, sc))
-        rhs = series_add(series_mul(sa, sb), series_mul(sa, sc))
+        lhs = sa * (sb + sc)
+        rhs = sa * sb + sa * sc
         assert approx_equal(lhs, rhs, tol=1e-7)
 
     @given(a=coeffs_strategy, b=coeffs_strategy, c=coeffs_strategy)
     @settings(max_examples=40, deadline=None)
     def test_multiplication_associates(self, a, b, c):
         sa, sb, sc = LaurentSeries(a), LaurentSeries(b), LaurentSeries(c)
-        lhs = series_mul(series_mul(sa, sb), sc)
-        rhs = series_mul(sa, series_mul(sb, sc))
+        lhs = (sa * sb) * sc
+        rhs = sa * (sb * sc)
         assert approx_equal(lhs, rhs, tol=1e-6)
 
     @given(s=coeffs_strategy)
     @settings(max_examples=60, deadline=None)
     def test_derivative_has_no_residue(self, s):
-        d = series_derivative(LaurentSeries(s))
+        d = LaurentSeries(s).derivative()
         assert abs(d.residue()) == 0.0
 
     @given(a=coeffs_strategy, b=coeffs_strategy, alpha=st.floats(-3, 3), beta=st.floats(-3, 3))

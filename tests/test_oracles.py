@@ -160,6 +160,12 @@ class TestRsShift:
             expected = 3.0 * (0.5) ** 2 * (2 * n * n + 2 * n + 1)
             assert p4_expectation(p, n) == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_ladder_expectation_through_n_50(self):
+        p = make_params(2.0, 8.0, 3.0, 0.6)
+        for n in range(51):
+            ladder = -p4_expectation(p, n) / (8 * p.m**3 * p.c**2)
+            assert rs_shift_p4(p, n) == pytest.approx(ladder, rel=1e-12, abs=0.0)
+
     def test_identity_through_n_50(self):
         p = natural_params(c=10.0)
         for n in range(51):

@@ -147,10 +147,6 @@ class TestWrCorrectionCoefficients:
         assert d0 == pytest.approx(b1, rel=1e-10)
         assert d1 == pytest.approx(b0, rel=1e-10)
 
-    def test_derive_flag_asserts_pair_agreement(self):
-        p, ep = params_for_eps(0.015, 1.5)
-        assert wr_correction_pdx(p, ep, derive=True) == wr_correction_pdx(p, ep)
-
 
 class TestQuantumActionWrPdx:
     def test_substitution(self):
@@ -214,6 +210,25 @@ class TestQuantumActionWrXdp:
         ep = energy_point(p, 0.3)
         with pytest.warns(WeakRegimeWarning):
             quantum_action_wr_xdp(p, ep)
+
+    def test_classical_limit(self):
+        p = make_params(1.0, 1.0, 10.0, 0.0)
+        assert quantum_action_wr_xdp(p, energy_point(p, 1.0)).j_value == pytest.approx(
+            1.001875, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("hbar", [0.0, 1e-300, 0.6, 1.0])
+    @pytest.mark.parametrize("m, k, c", [(1.0, 1.0, 10.0), (2.0, 8.0, 3.0)])
+    def test_equals_mapped_anharmonic_action(self, m, k, c, hbar):
+        # the momentum form is the quartic action under delta -> -k^2/(8 m c^2)
+        p = make_params(m, k, c, hbar)
+        delta = -k * k / (8.0 * m * c * c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakRegimeWarning)
+            for e in (1.5, 3.0):
+                j = quantum_action_wr_xdp(p, energy_point(p, e)).j_value
+                mapped = quantum_action_aho(p, e, delta).j_value
+                assert j == pytest.approx(mapped, rel=1e-12, abs=0.0)
 
 
 class TestInvertAction:
