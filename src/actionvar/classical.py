@@ -13,6 +13,7 @@ comes out positive and reduces to e/omega0 in the non-relativistic limit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -254,6 +255,21 @@ def action_fullrel(
     return ActionResult(j_value=j, scheme=form, order_epsilon=n_terms - 1, e_point=ep)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(theta), cos(theta) and the weights of Gauss-Legendre on [-pi/2, pi/2].
+
+    Built once per node count and shared between calls, so the arrays are
+    read-only.
+    """
+    theta, weights = np.polynomial.legendre.leggauss(nodes)
+    theta = theta * (math.pi / 2.0)
+    arrays = (np.sin(theta), np.cos(theta), weights * (math.pi / 2.0))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
     """Direct numerical action (1/pi) integral of p dx between turning points.
 
@@ -266,12 +282,8 @@ def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
     x2 = hamiltonian.turning_point(e)
 
     def value(nodes: int) -> float:
-        theta, weights = np.polynomial.legendre.leggauss(nodes)
-        theta = theta * (math.pi / 2.0)
-        weights = weights * (math.pi / 2.0)
-        x = x2 * np.sin(theta)
-        p = np.array([hamiltonian.momentum(float(xi), e) for xi in x])
-        integrand = p * x2 * np.cos(theta)
+        sin, cos, weights = _gauss_legendre_nodes(nodes)
+        integrand = hamiltonian.momentum(x2 * sin, e) * x2 * cos
         # (1/pi) * integral over [-x2, x2], i.e. over theta in [-pi/2, pi/2]
         return float(np.dot(weights, integrand)) / math.pi
 

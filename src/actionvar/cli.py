@@ -119,7 +119,7 @@ _SCHEMES = {
     "weakrel_xdp": _Scheme(
         action_wr_xdp_first_order,
         SchemeTag.CLASSICAL_WR_XDP, HamiltonianKind.FULL_REL,
-        "exact prefactor times branch-ratio series",
+        "momentum form truncated at order eps, (e/omega0)(1 + 3 eps/16)",
     ),
     "sho": _Scheme(
         lambda spec, n: ((n + 0.5) * _hw(spec), 0.0),
@@ -162,6 +162,12 @@ _ORACLES = {
     HamiltonianKind.QUARTIC_AHO: ("diag", "ladder-basis diagonalization oracle"),
     HamiltonianKind.SHO: ("exact", "closed-form harmonic levels (n + 1/2) hbar omega0"),
 }
+
+
+# levels flags that only some oracle Hamiltonians read: --ratio sets c,
+# which only the weak-relativistic kinetic term contains, and --delta is
+# the quartic strength.
+_LEVELS_FLAG_KINDS = {"ratio": HamiltonianKind.WEAK_REL, "delta": HamiltonianKind.QUARTIC_AHO}
 
 
 def _checked_by(kind: HamiltonianKind) -> list[str]:
@@ -332,6 +338,18 @@ def cmd_levels(scheme: str, config: RunConfig) -> int:
     return 0
 
 
+def _warn_ignored_flags(args: argparse.Namespace) -> None:
+    """One stderr warning per levels flag the chosen scheme does not read."""
+    kind = _SCHEMES[args.scheme].oracle
+    for flag, used_by in _LEVELS_FLAG_KINDS.items():
+        if getattr(args, flag) is not None and kind is not used_by:
+            print(
+                f"actionvar: warning: --{flag} does not apply to scheme "
+                f"{args.scheme!r} and is ignored",
+                file=sys.stderr,
+            )
+
+
 # -- configuration plumbing ---------------------------------------------------
 
 
@@ -486,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "freq":
             return cmd_frequency(config)
         if args.command == "levels":
+            _warn_ignored_flags(args)
             return cmd_levels(args.scheme, config)
         raise ConfigInvalid(f"unknown command {args.command!r}")
     except (ConfigInvalid, UnknownScheme) as exc:

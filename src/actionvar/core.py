@@ -24,6 +24,7 @@ __all__ = [
     "RecurrenceSingular",
     "BracketNotFound",
     "NotMonotonic",
+    "RootNotConverged",
     "NoClassicalRegion",
     "QuadratureNotConverged",
     "DerivativeNotFinite",
@@ -92,6 +93,10 @@ class BracketNotFound(ActionVarError):
 
 
 class NotMonotonic(ActionVarError):
+    pass
+
+
+class RootNotConverged(ActionVarError):
     pass
 
 

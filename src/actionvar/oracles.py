@@ -91,19 +91,28 @@ class HamiltonianSpec:
             kinetic = p * p / (2 * m)
         return kinetic + self.potential(x)
 
-    def dx_dt(self, x: float, p: float) -> float:
-        m, c = self.params.m, self.params.c
-        if self.kind is HamiltonianKind.FULL_REL:
-            return p * c * c / math.sqrt(p * p * c * c + (m * c * c) ** 2)
-        if self.kind is HamiltonianKind.WEAK_REL:
-            return p / m - p**3 / (2 * m**3 * c * c)
-        return p / m
+    def flow(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """Hamilton's equations as the pair (velocity(p), force(x)).
 
-    def dp_dt(self, x: float, p: float) -> float:
-        f = -self.params.k * x
+        H is separable, so dx/dt = dH/dp depends on p alone and
+        dp/dt = -dH/dx on x alone; each closure binds its constants once.
+        """
+        m, c, k = self.params.m, self.params.c, self.params.k
+        if self.kind is HamiltonianKind.FULL_REL:
+            rest_sq = (m * c * c) ** 2
+            velocity = lambda p: p * c * c / math.sqrt(p * p * c * c + rest_sq)
+        elif self.kind is HamiltonianKind.WEAK_REL:
+            quartic = 2 * m**3 * c * c
+            velocity = lambda p: p / m - p**3 / quartic
+        else:
+            velocity = lambda p: p / m
+        minus_k = -k
         if self.kind is HamiltonianKind.QUARTIC_AHO:
-            f -= 4 * self.delta * x**3
-        return f
+            cubic = 4 * self.delta
+            force = lambda x: minus_k * x - cubic * x**3
+        else:
+            force = lambda x: minus_k * x
+        return velocity, force
 
     def turning_point(self, e_tilde: float) -> float:
         """Positive turning point x2 with V(x2) = e_tilde."""
@@ -122,26 +131,35 @@ class HamiltonianSpec:
             return math.sqrt(x2sq)
         return math.sqrt(2 * e_tilde / k)
 
-    def momentum(self, x: float, e_tilde: float) -> float:
-        """Classical momentum magnitude at x on the orbit of energy e_tilde."""
+    def momentum(self, x: float | np.ndarray, e_tilde: float) -> float | np.ndarray:
+        """Classical momentum magnitude at x on the orbit of energy e_tilde.
+
+        x may be a float or an array; a float gives a float and an array
+        an array of the same shape.
+        """
         m, c = self.params.m, self.params.c
+        x = np.asarray(x, dtype=float)
         w = e_tilde - self.potential(x)
-        if w < 0:
-            if w > -1e-12 * max(e_tilde, 1.0):
-                w = 0.0
-            else:
-                raise NoClassicalRegion(f"x = {x} is outside the orbit at e_tilde = {e_tilde}")
+        outside = w <= -1e-12 * max(e_tilde, 1.0)
+        if outside.any():
+            raise NoClassicalRegion(
+                f"x = {x[outside].flat[0]} is outside the orbit at e_tilde = {e_tilde}"
+            )
+        w = np.maximum(w, 0.0)
         if self.kind is HamiltonianKind.FULL_REL:
-            return math.sqrt(w * (w + 2 * m * c * c)) / c
-        if self.kind is HamiltonianKind.WEAK_REL:
+            p = np.sqrt(w * (w + 2 * m * c * c)) / c
+        elif self.kind is HamiltonianKind.WEAK_REL:
             # smaller root of p^4 - 4m^2c^2 p^2 + 8m^3c^2 w = 0
             q = 1.0 - 2 * w / (m * c * c)
-            if q < 0:
+            if (q < 0).any():
                 raise NoClassicalRegion(
-                    f"weak-relativistic momentum undefined: e - V = {w} exceeds m c^2 / 2"
+                    "weak-relativistic momentum undefined: e - V = "
+                    f"{w[q < 0].flat[0]} exceeds m c^2 / 2"
                 )
-            return math.sqrt(4 * m * w / (1 + math.sqrt(q)))
-        return math.sqrt(2 * m * w)
+            p = np.sqrt(4 * m * w / (1 + np.sqrt(q)))
+        else:
+            p = np.sqrt(2 * m * w)
+        return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -162,20 +180,6 @@ class OracleReport:
 
 
 # -- trajectory oracle --------------------------------------------------------
-
-
-def _rk4_step(spec: HamiltonianSpec, x: float, p: float, dt: float) -> tuple[float, float]:
-    k1x, k1p = spec.dx_dt(x, p), spec.dp_dt(x, p)
-    k2x = spec.dx_dt(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-    k2p = spec.dp_dt(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-    k3x = spec.dx_dt(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-    k3p = spec.dp_dt(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-    k4x = spec.dx_dt(x + dt * k3x, p + dt * k3p)
-    k4p = spec.dp_dt(x + dt * k3x, p + dt * k3p)
-    return (
-        x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6,
-        p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6,
-    )
 
 
 def _hermite_crossing(
@@ -223,19 +227,31 @@ def rk4_period(
         dt = t0_guess / 2000.0
     x2 = spec.turning_point(e_tilde)
 
+    velocity, force = spec.flow()
     for _attempt in range(7):
         crossings: list[float] = []
         x, p = x2, 0.0
         t = 0.0
         t_max = 8.0 * t0_guess
-        d_prev = spec.dp_dt(x, p)
+        half = 0.5 * dt
+        # f is dp/dt at the start of the step, which is both RK4's k1p and
+        # the start slope of the Hermite refinement; each step's end force
+        # becomes the next step's f
+        f = force(x)
         while t < t_max and len(crossings) < 2:
-            xn, pn = _rk4_step(spec, x, p, dt)
-            tn = t + dt
-            d_next = spec.dp_dt(xn, pn)
+            k1x = velocity(p)
+            k2x = velocity(p + half * f)
+            k2p = force(x + half * k1x)
+            k3x = velocity(p + half * k2p)
+            k3p = force(x + half * k2x)
+            k4x = velocity(p + dt * k3p)
+            k4p = force(x + dt * k3x)
+            xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
+            pn = p + dt * (f + 2 * k2p + 2 * k3p + k4p) / 6
+            f_next = force(xn)
             if p < 0.0 <= pn:
-                crossings.append(_hermite_crossing(t, dt, p, pn, d_prev, d_next))
-            x, p, t, d_prev = xn, pn, tn, d_next
+                crossings.append(_hermite_crossing(t, dt, p, pn, f, f_next))
+            x, p, t, f = xn, pn, t + dt, f_next
         if len(crossings) < 2:
             raise NoPeriodFound(
                 f"fewer than two momentum up-crossings within t = {t_max:.4g}"

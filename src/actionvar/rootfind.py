@@ -1,8 +1,10 @@
 """Scalar root finding for smooth monotone functions.
 
-Bisection to shrink the bracket, then secant steps for the final digits;
-every secant iterate is kept inside the current bracket, so convergence is
-guaranteed for continuous functions.
+Secant (regula falsi) steps kept inside the current bracket, with
+bisection whenever a step would leave it.  Regula falsi can stall on one
+endpoint of a strongly curved function, so a root that has not converged
+after max_iter iterations raises RootNotConverged instead of being
+returned.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import BracketNotFound, NotMonotonic
+from .core import BracketNotFound, NotMonotonic, RootNotConverged
 
 __all__ = ["bracketed_root", "expand_bracket"]
 
@@ -49,6 +51,8 @@ def bracketed_root(
     """Root of f in [lo, hi] with |f(root)| <= f_tol.
 
     With require_increasing, raises NotMonotonic if f(lo) > f(hi).
+    Raises RootNotConverged if neither tolerance is met after max_iter
+    iterations.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -77,4 +81,7 @@ def bracketed_root(
             a, fa = x, fx
         if b - a <= max(abs(x), 1.0) * 4.0 * math.ulp(1.0):
             return x
-    return x
+    raise RootNotConverged(
+        f"no root within f_tol = {f_tol:.3g} after {max_iter} iterations on "
+        f"[{lo}, {hi}]: last iterate x = {x:.17g} has f = {fx:.6g}"
+    )

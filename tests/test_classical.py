@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from actionvar.classical import (
+    _gauss_legendre_nodes,
     action_fullrel,
     action_quadrature,
     action_sho,
@@ -115,6 +116,30 @@ class TestActionSho:
 
     def test_scheme_tag(self):
         assert action_sho(natural_params(), 1.0).scheme is SchemeTag.CLASSICAL_SHO
+
+
+class TestActionQuadrature:
+    def test_node_arrays_are_built_once_and_read_only(self):
+        arrays = _gauss_legendre_nodes(32)
+        assert _gauss_legendre_nodes(32) is arrays
+        for a in arrays:
+            assert a.shape == (32,) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "kind, delta, eps, j",
+        [
+            (HamiltonianKind.WEAK_REL, 0.0, 0.05, 5.048677863099911),
+            (HamiltonianKind.FULL_REL, 0.0, 0.2, 20.735022448871945),
+            (HamiltonianKind.QUARTIC_AHO, 1e-3, 0.4, 38.02590495755651),
+        ],
+    )
+    def test_values_pinned(self, kind, delta, eps, j):
+        # values of the node-by-node quadrature this one replaced, at m = k = 1, c = 10
+        p = make_params(1.0, 1.0, 10.0, 1.0)
+        spec = HamiltonianSpec(kind, p, delta=delta)
+        assert action_quadrature(spec, eps * p.rest_energy) == pytest.approx(j, rel=1e-14)
 
 
 class TestActionWrPdx:

@@ -55,6 +55,14 @@ class TestTable1:
         assert "classical-wr-pdx" in out
         assert "classical-fullrel-xdp" in out
 
+    def test_show_scheme_describes_the_first_order_xdp_column(self, capsys):
+        code, out, _ = run(capsys, "table1", "--eps", "0.01", "--show-scheme")
+        assert code == 0
+        assert (
+            "#   weakrel_xdp: classical-wr-xdp -- momentum form truncated at order eps, "
+            "(e/omega0)(1 + 3 eps/16)"
+        ) in out.splitlines()
+
 
 class TestTable2:
     def test_default_run(self, capsys):
@@ -139,6 +147,31 @@ class TestLevels:
         assert len(oracle_lines) == 1
         assert "quartic-aho" in oracle_lines[0]
         assert "quantum-wr-pdx" not in oracle_lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["--scheme", "wr-pdx"], "--delta", "0.5"),
+            (["--scheme", "jwkb"], "--delta", "1e-3"),
+            (["--scheme", "aho", "--delta", "1e-3"], "--ratio", "0.3"),
+            (["--scheme", "sho"], "--ratio", "0.3"),  # c does not enter the harmonic levels
+        ],
+    )
+    def test_ignored_flag_warns_and_leaves_output_alone(self, capsys, argv, flag, value):
+        code, plain, plain_err = run(capsys, "levels", "--nmax", "2", *argv)
+        assert code == 0 and plain_err == ""
+        code, out, err = run(capsys, "levels", "--nmax", "2", *argv, flag, value)
+        assert code == 0
+        assert out == plain
+        assert err.splitlines() == [
+            f"actionvar: warning: {flag} does not apply to scheme {argv[1]!r} and is ignored"
+        ]
+
+    def test_applicable_flags_do_not_warn(self, capsys):
+        _, _, err = run(capsys, "levels", "--scheme", "rs", "--nmax", "1", "--ratio", "1e-3")
+        assert err == ""
+        _, _, err = run(capsys, "levels", "--scheme", "aho", "--nmax", "1", "--delta", "1e-3")
+        assert err == ""
 
     def test_tolerance_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ACTIONVAR_TOL", "1e-300")

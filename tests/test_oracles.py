@@ -34,6 +34,16 @@ def wr_spec(ratio: float = 1e-3) -> HamiltonianSpec:
     return HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
 
 
+# m = k = 1, c = 10, so e = 0.2 m c^2 = 20 below
+_P10 = make_params(1.0, 1.0, 10.0, 1.0)
+PINNED_SPECS = [
+    HamiltonianSpec(HamiltonianKind.WEAK_REL, _P10),
+    HamiltonianSpec(HamiltonianKind.FULL_REL, _P10),
+    HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, _P10, delta=1e-3),
+    HamiltonianSpec(HamiltonianKind.SHO, _P10),
+]
+
+
 class TestHamiltonianSpec:
     def test_turning_point_sho(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
@@ -69,6 +79,34 @@ class TestHamiltonianSpec:
         spec = HamiltonianSpec(HamiltonianKind.FULL_REL, p)
         assert spec.energy(0.0, 1e-6) == pytest.approx(1e-12 / 2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("spec", PINNED_SPECS, ids=lambda s: s.kind.value)
+    def test_array_momentum_equals_scalar_calls(self, spec):
+        e = 20.0
+        xs = np.linspace(-1.0, 1.0, 41) * spec.turning_point(e)
+        ps = spec.momentum(xs, e)
+        assert isinstance(ps, np.ndarray) and ps.shape == xs.shape
+        scalars = [spec.momentum(float(x), e) for x in xs]
+        assert all(isinstance(v, float) for v in scalars)
+        assert ps.tolist() == scalars
+
+    def test_array_momentum_with_one_point_outside_orbit_raises(self):
+        spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
+        xs = np.array([0.0, 0.5, 1.5, -0.5])  # turning point sqrt(2) at e = 1
+        with pytest.raises(NoClassicalRegion, match="x = 1.5"):
+            spec.momentum(xs, 1.0)
+
+    def test_momentum_snaps_rounding_below_zero_at_the_turning_point(self):
+        spec = HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, natural_params(), delta=1e-3)
+        x2 = spec.turning_point(1.0)
+        assert spec.momentum(np.array([x2 * (1 + 1e-15), -x2]), 1.0).tolist() == [0.0, 0.0]
+
+    def test_weakrel_momentum_beyond_half_rest_energy_raises(self):
+        spec = wr_spec(1e-2)  # m c^2 = 100
+        with pytest.raises(NoClassicalRegion, match="exceeds m c\\^2 / 2"):
+            spec.momentum(np.array([0.0, 0.1]), 60.0)
+        with pytest.raises(NoClassicalRegion):
+            spec.momentum(0.0, 60.0)
+
 
 class TestRk4Period:
     def test_sho_isochronous(self):
@@ -88,6 +126,16 @@ class TestRk4Period:
         t = rk4_period(spec, 5.0)
         w = frequency_from_action(lambda e: action_quadrature(spec, e), 5.0)
         assert abs(t - 2.0 * math.pi / w) / t < 1e-5
+
+    @pytest.mark.parametrize(
+        "spec, period",
+        zip(PINNED_SPECS, [6.898717272011616, 6.740500920649369, 5.960469630637499, 6.283185307184297]),
+        ids=lambda v: v.kind.value if isinstance(v, HamiltonianSpec) else "",
+    )
+    def test_period_is_pinned_bit_for_bit(self, spec, period):
+        # values of the step-by-step RK4 loop this one replaced; the stage
+        # expressions keep their evaluation order, so they agree exactly
+        assert rk4_period(spec, 0.2 * _P10.rest_energy) == period
 
     def test_fourth_order_convergence(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
