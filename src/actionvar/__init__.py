@@ -35,8 +35,6 @@ from .laurent import LaurentSeries, binomial_series, binomial_sqrt
 from .oracles import (
     HamiltonianKind,
     HamiltonianSpec,
-    OracleReport,
-    compare,
     diagonalize,
     jwkb_levels_wr,
     rk4_period,
@@ -67,7 +65,6 @@ __all__ = [
     "HamiltonianKind",
     "HamiltonianSpec",
     "LaurentSeries",
-    "OracleReport",
     "OscillatorParams",
     "RiccatiSolution",
     "SchemeTag",
@@ -83,7 +80,6 @@ __all__ = [
     "aho_coeffs",
     "binomial_series",
     "binomial_sqrt",
-    "compare",
     "diagonalize",
     "eigenvalues_aho",
     "eigenvalues_wr_pdx",

@@ -1,10 +1,12 @@
-"""Truncated Laurent series arithmetic over complex coefficients.
+"""Truncated Laurent series about x = infinity over complex coefficients.
 
-A series stores a finite map {power: coefficient}.  Powers outside the
-trusted window [trunc_low, trunc_high] are *unknown*, not zero; a bound of
-None means the series is exact on that side.  Every operation propagates
-the trusted window, so a residue read from a series is either provably
-correct or refused with OrderInsufficient.
+A series stores a finite map {power: coefficient}.  It is exact above its
+lowest trusted power trunc_low: powers below trunc_low are *unknown*, not
+zero, and trunc_low = None means the series is exact.  A coefficient is
+dropped only when it is exactly zero or lies below trunc_low, never
+because it is small.  Every operation propagates trunc_low, so a residue
+read from a series is either provably correct or refused with
+OrderInsufficient.
 
 Residue convention: for a counterclockwise origin-centred circle,
 (1/2pi) * contour integral of s dx = i * s.residue(), where s.residue()
@@ -13,8 +15,7 @@ is the coefficient of the power -1.
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .core import InvalidExpansionPoint, OrderInsufficient
 
@@ -29,42 +30,30 @@ __all__ = [
 # next-order behaviour in derived checks.
 DEFAULT_EXTRA_ORDERS = 8
 
-ZERO_TOL = 1e-12
 
-
-def _lo_key(v):
-    return -math.inf if v is None else v
-
-
-def _hi_key(v):
-    return math.inf if v is None else v
+def _tighter(a: int | None, b: int | None) -> int | None:
+    """The tighter of two lower trust bounds; None means exact."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return max(a, b)
 
 
 class LaurentSeries:
-    """Immutable finite Laurent series with explicit truncation bookkeeping."""
+    """Immutable finite Laurent series with a trusted lower bound."""
 
-    __slots__ = ("_coeffs", "trunc_low", "trunc_high")
+    __slots__ = ("_coeffs", "trunc_low")
 
     def __init__(
-        self,
-        coeffs: Mapping[int, complex] | None = None,
-        trunc_low: int | None = None,
-        trunc_high: int | None = None,
+        self, coeffs: Mapping[int, complex] | None = None, trunc_low: int | None = None
     ) -> None:
-        cleaned: dict[int, complex] = {}
-        if coeffs:
-            scale = max((abs(c) for c in coeffs.values()), default=0.0)
-            tol = ZERO_TOL * scale
-            for p, c in coeffs.items():
-                if abs(c) > tol:
-                    if trunc_low is not None and p < trunc_low:
-                        continue
-                    if trunc_high is not None and p > trunc_high:
-                        continue
-                    cleaned[int(p)] = complex(c)
-        self._coeffs = cleaned
+        self._coeffs = {
+            int(p): complex(c)
+            for p, c in (coeffs or {}).items()
+            if c != 0 and (trunc_low is None or p >= trunc_low)
+        }
         self.trunc_low = trunc_low
-        self.trunc_high = trunc_high
 
     # -- construction helpers -------------------------------------------------
 
@@ -88,13 +77,6 @@ class LaurentSeries:
     def __getitem__(self, power: int) -> complex:
         return self.coefficient(power)
 
-    def powers(self) -> Iterator[int]:
-        return iter(sorted(self._coeffs))
-
-    @property
-    def min_power(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
-
     @property
     def max_power(self) -> int | None:
         return max(self._coeffs) if self._coeffs else None
@@ -109,8 +91,8 @@ class LaurentSeries:
         body = " + ".join(
             f"({self._coeffs[p]:.6g})x^{p}" for p in sorted(self._coeffs, reverse=True)
         )
-        window = f"[{self.trunc_low},{self.trunc_high}]"
-        return f"LaurentSeries({body or '0'}, trusted {window})"
+        trust = "exact" if self.trunc_low is None else f"trusted down to x^{self.trunc_low}"
+        return f"LaurentSeries({body or '0'}, {trust})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -120,27 +102,17 @@ class LaurentSeries:
         out = dict(self._coeffs)
         for p, c in other._coeffs.items():
             out[p] = out.get(p, 0.0) + c
-        lo = max(_lo_key(self.trunc_low), _lo_key(other.trunc_low))
-        hi = min(_hi_key(self.trunc_high), _hi_key(other.trunc_high))
-        return LaurentSeries(
-            out,
-            None if lo == -math.inf else int(lo),
-            None if hi == math.inf else int(hi),
-        )
+        return LaurentSeries(out, _tighter(self.trunc_low, other.trunc_low))
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(
-            {p: -c for p, c in self._coeffs.items()}, self.trunc_low, self.trunc_high
-        )
+        return LaurentSeries({p: -c for p, c in self._coeffs.items()}, self.trunc_low)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def scaled(self, factor: complex) -> "LaurentSeries":
         return LaurentSeries(
-            {p: factor * c for p, c in self._coeffs.items()},
-            self.trunc_low,
-            self.trunc_high,
+            {p: factor * c for p, c in self._coeffs.items()}, self.trunc_low
         )
 
     def __mul__(self, other):
@@ -156,36 +128,22 @@ class LaurentSeries:
         return LaurentSeries(
             {p + powers: c for p, c in self._coeffs.items()},
             None if self.trunc_low is None else self.trunc_low + powers,
-            None if self.trunc_high is None else self.trunc_high + powers,
         )
 
     def derivative(self) -> "LaurentSeries":
-        """Termwise power-rule derivative; the trusted window shifts down."""
+        """Termwise power-rule derivative; the trusted bound shifts down."""
         out = {p - 1: p * c for p, c in self._coeffs.items() if p != 0}
-        return LaurentSeries(
-            out,
-            None if self.trunc_low is None else self.trunc_low - 1,
-            None if self.trunc_high is None else self.trunc_high - 1,
-        )
+        return LaurentSeries(out, None if self.trunc_low is None else self.trunc_low - 1)
 
-    def truncated(self, low: int | None = None, high: int | None = None) -> "LaurentSeries":
-        """Restrict the trusted window (never widens it)."""
-        lo = max(_lo_key(self.trunc_low), _lo_key(low))
-        hi = min(_hi_key(self.trunc_high), _hi_key(high))
-        return LaurentSeries(
-            self._coeffs,
-            None if lo == -math.inf else int(lo),
-            None if hi == math.inf else int(hi),
-        )
+    def truncated(self, low: int | None = None) -> "LaurentSeries":
+        """Raise the trusted lower bound to low (never lowers it)."""
+        return LaurentSeries(self._coeffs, _tighter(self.trunc_low, low))
 
     def residue(self) -> complex:
-        """Coefficient of the power -1; refuses if -1 is outside the window."""
-        if (self.trunc_low is not None and self.trunc_low > -1) or (
-            self.trunc_high is not None and self.trunc_high < -1
-        ):
+        """Coefficient of the power -1; refuses if -1 is below the trusted bound."""
+        if self.trunc_low is not None and self.trunc_low > -1:
             raise OrderInsufficient(
-                f"power -1 lies outside the trusted window "
-                f"[{self.trunc_low}, {self.trunc_high}]"
+                f"power -1 lies below the trusted bound x^{self.trunc_low}"
             )
         return self.coefficient(-1)
 
@@ -197,52 +155,28 @@ def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             p = pa + pb
             out[p] = out.get(p, 0.0) + ca * cb
 
-    # Unknown terms of one factor (below/above its window) multiply the
-    # stored extremes of the other, contaminating powers outside the bound
-    # computed here.
-    def eff_hi(s: LaurentSeries) -> float:
-        if s.trunc_high is not None:
-            return s.trunc_high
-        return s.max_power if s._coeffs else 0
-
-    def eff_lo(s: LaurentSeries) -> float:
-        if s.trunc_low is not None:
-            return s.trunc_low
-        return s.min_power if s._coeffs else 0
-
-    lo = -math.inf
+    # Unknown terms below one factor's bound multiply the top stored power
+    # of the other, contaminating every power below the bound computed here.
+    lo = None
     if a.trunc_low is not None:
-        lo = max(lo, a.trunc_low + eff_hi(b))
+        lo = _tighter(lo, a.trunc_low + (b.max_power or 0))
     if b.trunc_low is not None:
-        lo = max(lo, b.trunc_low + eff_hi(a))
-    hi = math.inf
-    if a.trunc_high is not None:
-        hi = min(hi, a.trunc_high + eff_lo(b))
-    if b.trunc_high is not None:
-        hi = min(hi, b.trunc_high + eff_lo(a))
-    return LaurentSeries(
-        out,
-        None if lo == -math.inf else int(lo),
-        None if hi == math.inf else int(hi),
-    )
+        lo = _tighter(lo, b.trunc_low + (a.max_power or 0))
+    return LaurentSeries(out, lo)
 
 
 def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries:
     """(1 - u)**alpha as sum_j binom(alpha, j) (-u)**j, j = 0..order.
 
-    u must vanish at the expansion point: all its powers strictly positive
-    or all strictly negative, and no constant term.  The omitted tail
-    u**(order+1) sets the trusted window of the result.
+    u must vanish at x = infinity: every stored power strictly negative.
+    The omitted tail u**(order+1) sets the trusted bound of the result.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    tol = ZERO_TOL * max(u.max_abs(), 1.0)
-    if abs(u.coefficient(0)) > tol:
-        raise InvalidExpansionPoint("u has a constant term; (1-u)^alpha expansion needs u -> 0")
-    powers = [p for p in u._coeffs]
-    if powers and min(powers) < 0 < max(powers):
+    top = u.max_power
+    if top is not None and top >= 0:
         raise InvalidExpansionPoint(
-            "u mixes growing and vanishing powers; no single expansion point"
+            f"u has a term in x^{top}; (1-u)^alpha about infinity needs u -> 0"
         )
 
     one = LaurentSeries.term(0, 1.0)
@@ -254,19 +188,10 @@ def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries
         u_pow = u_pow * u
         result = result + u_pow.scaled(coeff)
 
+    if top is None:
+        return result
     # Tail bound from the first omitted power of u.
-    lo = result.trunc_low
-    hi = result.trunc_high
-    if powers:
-        if max(powers) < 0:
-            tail_top = (order + 1) * max(powers)
-            lo = max(_lo_key(lo), tail_top + 1)
-            lo = int(lo)
-        else:
-            tail_bottom = (order + 1) * min(powers)
-            hi = min(_hi_key(hi), tail_bottom - 1)
-            hi = int(hi)
-    return LaurentSeries(result._coeffs, lo, hi)
+    return result.truncated((order + 1) * top + 1)
 
 
 def binomial_sqrt(u: LaurentSeries, order: int) -> LaurentSeries:

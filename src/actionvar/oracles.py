@@ -33,7 +33,6 @@ from .rootfind import bracketed_root, expand_bracket
 __all__ = [
     "HamiltonianKind",
     "HamiltonianSpec",
-    "OracleReport",
     "rk4_period",
     "diagonalize",
     "jacobi_eigenvalues",
@@ -41,7 +40,6 @@ __all__ = [
     "rs_shift_p4",
     "p4_expectation",
     "jwkb_levels_wr",
-    "compare",
 ]
 
 
@@ -160,23 +158,6 @@ class HamiltonianSpec:
         else:
             p = np.sqrt(2 * m * w)
         return p if p.ndim else float(p)
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Side-by-side formula-vs-oracle comparison record."""
-
-    formula_value: float
-    oracle_value: float
-    abs_diff: float
-    rel_diff: float
-    tolerance_used: float
-    scheme: SchemeTag
-    converged: bool
-
-    @property
-    def within_tolerance(self) -> bool:
-        return self.abs_diff <= self.tolerance_used or self.rel_diff <= self.tolerance_used
 
 
 # -- trajectory oracle --------------------------------------------------------
@@ -424,32 +405,4 @@ def jwkb_levels_wr(params: OscillatorParams, n: int) -> SpectrumEntry:
     energy = bracketed_root(f, lo, hi, f_tol=1e-14 * max(target, 1.0))
     return SpectrumEntry(
         n=n, energy=energy, scheme=SchemeTag.JWKB_WR, correction=energy - e0
-    )
-
-
-def compare(
-    formula: Callable[..., float],
-    oracle: Callable[..., float],
-    inputs: tuple = (),
-    tolerance: float = 1e-9,
-    scheme: SchemeTag = SchemeTag.CLASSICAL_SHO,
-) -> OracleReport:
-    """Evaluate both callables on inputs and report the discrepancy.
-
-    Mismatch is reported, never raised; only internal convergence failures
-    of either callable propagate.
-    """
-    fv = float(formula(*inputs))
-    ov = float(oracle(*inputs))
-    abs_diff = abs(fv - ov)
-    denom = max(abs(fv), abs(ov))
-    rel_diff = abs_diff / denom if denom > 0 else 0.0
-    return OracleReport(
-        formula_value=fv,
-        oracle_value=ov,
-        abs_diff=abs_diff,
-        rel_diff=rel_diff,
-        tolerance_used=tolerance,
-        scheme=scheme,
-        converged=True,
     )

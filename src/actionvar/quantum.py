@@ -61,15 +61,13 @@ class RiccatiSolution:
     """Laurent-series solution of a quantum momentum-function equation.
 
     coefficients holds the series (in x for pdx, in p for xdp);
-    correction_coeffs carries first-order modifier coefficients when a
-    correction layer was solved; residual_norm is the relative magnitude
-    of the worst violated coefficient when the series is substituted back
-    into its defining equation.
+    residual_norm is the relative magnitude of the worst violated
+    coefficient when the series is substituted back into its defining
+    equation.
     """
 
     coefficients: LaurentSeries
     form: str  # "pdx" | "xdp"
-    correction_coeffs: tuple | None
     residual_norm: float
 
 
@@ -100,14 +98,15 @@ def _riccati_series(
 
 def _series_from_coeffs(b: list[complex], order: int) -> LaurentSeries:
     coeffs = {3 - 2 * j: b[j] for j in range(1, order + 1)}
-    return LaurentSeries(coeffs, trunc_low=3 - 2 * order, trunc_high=None)
+    return LaurentSeries(coeffs, trunc_low=3 - 2 * order)
 
 
 def _residual_norm(
     s: LaurentSeries, hbar_term: float, rhs: LaurentSeries
 ) -> float:
-    eq = s.derivative().scaled(-1j * hbar_term) + s * s - rhs
-    scale = max(rhs.max_abs(), (s * s).max_abs(), 1e-300)
+    square = s * s
+    eq = s.derivative().scaled(-1j * hbar_term) + square - rhs
+    scale = max(rhs.max_abs(), square.max_abs(), 1e-300)
     return eq.max_abs() / scale
 
 
@@ -129,7 +128,6 @@ def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     return RiccatiSolution(
         coefficients=series,
         form="pdx",
-        correction_coeffs=None,
         residual_norm=_residual_norm(series, hbar, rhs),
     )
 
@@ -152,7 +150,6 @@ def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     return RiccatiSolution(
         coefficients=series,
         form="xdp",
-        correction_coeffs=None,
         residual_norm=_residual_norm(series, -hbar, rhs),
     )
 

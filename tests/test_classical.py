@@ -222,6 +222,14 @@ class TestActionWrResidue:
         p, ep = params_for_eps(1e-10)
         assert action_wr_residue(p, ep).j_value == pytest.approx(1.0, rel=1e-9)
 
+    def test_pinned_where_terms_spread_past_1e12(self):
+        p = make_params(1.0, 1.0, 10.0, 1.0)
+        ep = energy_point(p, 45.0)
+        assert ep.epsilon == pytest.approx(0.45, rel=1e-15)
+        with pytest.warns(WeakRegimeWarning):
+            j = action_wr_residue(p, ep).j_value
+        assert j == pytest.approx(48.796875, rel=1e-12)
+
 
 class TestActionFullrel:
     def test_eps_zero_limit(self):

@@ -18,7 +18,6 @@ from actionvar.core import (
 from actionvar.oracles import (
     HamiltonianKind,
     HamiltonianSpec,
-    compare,
     diagonalize,
     jacobi_eigenvalues,
     jwkb_levels_wr,
@@ -249,37 +248,20 @@ class TestJwkb:
         assert jwkb_levels_wr(p, 1).scheme is SchemeTag.JWKB_WR
 
 
-class TestCompare:
-    def test_identical_quantities(self):
+class TestOracleCrossChecks:
+    def test_sho_quadrature_action_is_e_over_omega0(self):
         p = natural_params()
         spec = HamiltonianSpec(HamiltonianKind.SHO, p)
-        report = compare(
-            lambda e: e / p.omega0,
-            lambda e: action_quadrature(spec, e),
-            inputs=(1.3,),
-            tolerance=1e-10,
-            scheme=SchemeTag.CLASSICAL_SHO,
-        )
-        assert report.rel_diff <= 1e-10
-        assert report.within_tolerance
-        assert report.converged
-
-    def test_mismatch_reported_not_raised(self):
-        report = compare(lambda: 1.0, lambda: 2.0, tolerance=1e-3)
-        assert report.abs_diff == pytest.approx(1.0)
-        assert not report.within_tolerance
+        exact = 1.3 / p.omega0
+        assert abs(action_quadrature(spec, 1.3) - exact) <= 1e-10 * exact
 
     def test_frequency_vs_trajectory(self):
         p = natural_params(c=math.sqrt(1.0 / 0.02))
         ep = energy_point(p, 1.0)
         spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
-        report = compare(
-            lambda: p.omega0 / (1.0 + 3.0 * ep.epsilon / 8.0),
-            lambda: 2.0 * math.pi / rk4_period(spec, 1.0),
-            tolerance=4e-4,
-            scheme=SchemeTag.CLASSICAL_WR_PDX,
-        )
-        assert report.rel_diff <= 4e-4
+        closed = p.omega0 / (1.0 + 3.0 * ep.epsilon / 8.0)
+        trajectory = 2.0 * math.pi / rk4_period(spec, 1.0)
+        assert abs(closed - trajectory) <= 4e-4 * max(closed, trajectory)
 
 
 class TestLadderMatrix:

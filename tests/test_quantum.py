@@ -2,9 +2,14 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from actionvar.classical import action_wr_pdx, action_wr_residue
 
 from actionvar.core import (
     NonPositiveEnergy,
@@ -40,6 +45,29 @@ def params_for_eps(eps: float, e_tilde: float = 1.0):
     c = math.sqrt(e_tilde / eps)
     p = natural_params(c=c)
     return p, energy_point(p, e_tilde)
+
+
+def exact_riccati_pdx(e: Fraction, order: int) -> list[tuple[Fraction, Fraction]]:
+    """b_1..b_order of p = sum b_j x^(3-2j) at m = k = hbar = 1, exactly.
+
+    Each coefficient is a Gaussian rational (re, im).  Matching x^(6-2n) in
+    -i p' + p^2 = 2e - x^2 gives b_1^2 = -1 (b_1 = +i, the physical branch)
+    and, for n >= 3,
+    2 b_1 b_(n-1) = [n == 3] 2e - sum_(i=2..n-2) b_i b_(n-i) + i (7 - 2n) b_(n-2).
+    """
+    b = [None, (Fraction(0), Fraction(1))]
+    for n in range(3, order + 2):
+        re = 2 * e if n == 3 else Fraction(0)
+        im = Fraction(0)
+        for i in range(2, n - 1):
+            (ar, ai), (br, bi) = b[i], b[n - i]
+            re -= ar * br - ai * bi
+            im -= ar * bi + ai * br
+        ar, ai = b[n - 2]
+        re -= (7 - 2 * n) * ai
+        im += (7 - 2 * n) * ar
+        b.append((im / 2, -re / 2))  # divide by 2 b_1 = 2i
+    return b
 
 
 class TestRiccatiPdx:
@@ -80,6 +108,16 @@ class TestRiccatiPdx:
     def test_rejects_bad_inputs(self):
         with pytest.raises(NonPositiveEnergy):
             riccati_pdx(natural_params(), -1.0)
+
+    @pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(11, 2), 20, 100])
+    def test_coefficients_match_exact_gaussian_rationals(self, e):
+        order = 11
+        exact = exact_riccati_pdx(Fraction(e), order)
+        series = riccati_pdx(make_params(1.0, 1.0, 10.0, 1.0), float(e), order=order)
+        for j in range(1, order + 1):
+            ref = complex(float(exact[j][0]), float(exact[j][1]))
+            got = series.coefficients.coefficient(3 - 2 * j)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (j, got, ref)
 
 
 class TestRiccatiXdp:
@@ -193,6 +231,53 @@ class TestQuantumActionWrDerived:
         ep = energy_point(p, 1.0)
         derived = quantum_action_wr_pdx_derived(p, ep).j_value
         assert derived == pytest.approx(1.0 + 3.0 * ep.epsilon / 16.0, rel=1e-10)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda u: min(math.exp(u), hi))
+
+
+class TestResiduePathsOverFullRange:
+    """Residue-derived quantities agree with their closed forms at any E.
+
+    Small Riccati coefficients are kept, so the residue routes stay right
+    where the coefficient spread passes 1e12 (E above about 4.8 hbar omega0
+    at order 11).  Units are m = k = hbar = 1, so e is E / hbar omega0 and
+    r = 1 / c^2.
+    """
+
+    def test_wr_derived_pinned_above_old_cutoff(self):
+        p = make_params(1.0, 1.0, 100.0, 1.0)
+        j55 = quantum_action_wr_pdx_derived(p, energy_point(p, 5.5)).j_value
+        j20 = quantum_action_wr_pdx_derived(p, energy_point(p, 20.0)).j_value
+        assert j55 == pytest.approx(5.000571875, rel=1e-12)
+        assert j20 == pytest.approx(19.5075046875, rel=1e-12)
+
+    @given(data=st.data(), c=st.sampled_from([100.0, 10.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_residues_equal_closed_forms(self, data, c):
+        p = make_params(1.0, 1.0, c, 1.0)
+        r = 1.0 / (c * c)
+        e = data.draw(log_uniform(0.5, 100.0 if c == 100.0 else 0.4999 * c * c))
+        delta = data.draw(st.sampled_from([1e-4, -1e-4]))
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * abs(want)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakRegimeWarning)
+            ep = energy_point(p, e)
+            wr = quantum_action_wr_pdx_derived(p, ep).j_value
+            aho = quantum_action_aho_residue(p, e, delta).j_value
+            wr_pair = zip(wr_correction_derived(p, ep), reversed(wr_correction_pdx(p, ep)))
+            aho_pair = zip(aho_coeffs_derived(p, e, delta), aho_coeffs(p, e, delta))
+            classical = action_wr_residue(p, ep).j_value
+            classical_closed = action_wr_pdx(p, ep).j_value
+        assert close(wr, e - 0.5 + (3.0 / 16.0) * r * (e * e + 0.25))
+        assert close(aho, e - 0.5 - (3.0 * delta / 32.0) * (4.0 + 16.0 * e * e))
+        assert all(close(got, want) for got, want in wr_pair)
+        assert all(close(got, want) for got, want in aho_pair)
+        assert close(classical, classical_closed)
 
 
 class TestQuantumActionWrXdp:
