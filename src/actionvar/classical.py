@@ -196,16 +196,16 @@ def wr_momentum_series(
     return (base * corr).shifted(1).scaled(1j * math.sqrt(m * k))
 
 
-def action_wr_residue(
-    params: OscillatorParams, ep: EnergyPoint, order: int = DEFAULT_EXTRA_ORDERS
-) -> ActionResult:
+def action_wr_residue(params: OscillatorParams, ep: EnergyPoint) -> ActionResult:
     """Weakly relativistic coordinate-form action via the residue at infinity.
 
     Independent of action_wr_pdx's closed form: the momentum series is
-    built term by term and its x^(-1) coefficient read off.  Orientation
-    is fixed so the non-relativistic limit returns +e/omega0.
+    built term by term and its x^(-1) coefficient read off.  Only the
+    x^-2 and x^-4 terms of sqrt(1 - s) reach that coefficient, so order 2
+    suffices.  Orientation is fixed so the non-relativistic limit returns
+    +e/omega0.
     """
-    series = wr_momentum_series(params, ep, order)
+    series = wr_momentum_series(params, ep, 2)
     j = (1j * series.residue()).real
     return ActionResult(
         j_value=j, scheme=SchemeTag.CLASSICAL_WR_PDX, order_epsilon=1, e_point=ep

@@ -7,9 +7,10 @@ Four subcommands:
   freq     weak-relativistic frequency from formula, dJ/dE, and trajectory
   levels   spectrum of one scheme as CSV, with an oracle column
 
-Configuration comes from defaults, then an optional flat key=value config
-file, then command-line flags (later wins).  The ACTIONVAR_TOL environment
-variable overrides the relative tolerance used to flag deviations.
+Each setting is resolved once: the command-line flag, else the optional
+flat key = value config file, else the default.  A config-file key that
+names no setting is refused.  The ACTIONVAR_TOL environment variable
+overrides the relative tolerance used to flag deviations.
 Exit codes: 0 success, 1 usage/config error, 2 oracle convergence failure,
 3 I/O error.
 """
@@ -20,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .classical import (
@@ -43,9 +44,9 @@ from .core import (
     QuadratureNotConverged,
     SchemeTag,
     SpectrumEntry,
-    UnknownScheme,
     energy_point,
     make_params,
+    natural_params,
 )
 from .oracles import (
     HamiltonianKind,
@@ -164,44 +165,39 @@ _ORACLES = {
 }
 
 
-# levels flags that only some oracle Hamiltonians read: --ratio sets c,
-# which only the weak-relativistic kinetic term contains, and --delta is
-# the quartic strength.
-_LEVELS_FLAG_KINDS = {"ratio": HamiltonianKind.WEAK_REL, "delta": HamiltonianKind.QUARTIC_AHO}
-
-
 def _checked_by(kind: HamiltonianKind) -> list[str]:
     return [name for name, s in _SCHEMES.items() if s.oracle is kind]
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one CLI run."""
+    """Resolved settings for one run: a field per _SETTINGS row, --show-scheme, ACTIONVAR_TOL."""
 
-    params: OscillatorParams
-    epsilon_list: list[float] = field(default_factory=lambda: [0.01, 0.05, 0.1])
-    level_ratio: float = 0.01
-    n_max: int = 10
-    delta: float = 0.0
-    output_path: str | None = None
-    show_scheme: bool = False
-    tolerance: float = _DEFAULT_TOL
+    units: OscillatorParams
+    eps: tuple[float, ...]
+    ratio: float
+    nmax: int
+    delta: float
+    csv: str | None
+    scheme: str | None
+    show_scheme: bool
+    tolerance: float
 
     def __post_init__(self) -> None:
-        for eps in self.epsilon_list:
+        for eps in self.eps:
             if not 0.0 <= eps < 0.5:
                 raise ConfigInvalid(f"eps values must lie in [0, 1/2), got {eps}")
-        if self.n_max < 0:
-            raise ConfigInvalid(f"nmax must be >= 0, got {self.n_max}")
-        if self.level_ratio < 0:
-            raise ConfigInvalid(f"ratio must be >= 0, got {self.level_ratio}")
+        if self.nmax < 0:
+            raise ConfigInvalid(f"nmax must be >= 0, got {self.nmax}")
+        if self.ratio < 0:
+            raise ConfigInvalid(f"ratio must be >= 0, got {self.ratio}")
 
     def ratio_params(self) -> OscillatorParams:
-        """Params whose hbar*omega0/mc^2 equals level_ratio (c adjusted)."""
-        p = self.params
-        if self.level_ratio == 0:
+        """Params whose hbar*omega0/mc^2 equals ratio (c adjusted)."""
+        p = self.units
+        if self.ratio == 0:
             return make_params(p.m, p.k, 1e9, p.hbar)
-        c = math.sqrt(p.hbar * p.omega0 / (self.level_ratio * p.m))
+        c = math.sqrt(p.hbar * p.omega0 / (self.ratio * p.m))
         return make_params(p.m, p.k, c, p.hbar)
 
 
@@ -210,12 +206,12 @@ def _emit(rows: list[list], header: list[str], config: RunConfig) -> None:
     lines = [header] + [
         [v if isinstance(v, str) else format(float(v), ".12g") for v in row] for row in rows
     ]
-    if config.output_path:
+    if config.csv:
         try:
-            with open(config.output_path, "w", encoding="ascii") as fh:
+            with open(config.csv, "w", encoding="ascii") as fh:
                 fh.write("\n".join(",".join(line) for line in lines) + "\n")
         except OSError as exc:
-            raise IoFailure(f"cannot write {config.output_path}: {exc}") from exc
+            raise IoFailure(f"cannot write {config.csv}: {exc}") from exc
     widths = [max(len(h), 14) for h in header]
     for line in lines:
         print("  ".join(c.ljust(w) for c, w in zip(line, widths)))
@@ -238,9 +234,9 @@ def cmd_table1(config: RunConfig) -> int:
     header = ["eps", *columns, "quadrature", "max_pairwise_dev"]
     if config.show_scheme:
         _print_scheme_notes(columns)
-    p = config.params
+    p = config.units
     rows = []
-    for eps in config.epsilon_list:
+    for eps in config.eps:
         if eps == 0.0:
             rows.append([eps, *[1.0] * (len(columns) + 1), 0.0])
             continue
@@ -266,9 +262,9 @@ def cmd_table2(config: RunConfig) -> int:
         _print_scheme_notes(columns)
     spec = _oracle_spec(HamiltonianKind.WEAK_REL, config)
     hw = _hw(spec)
-    diag_shift = _oracle_shifts(spec, config.n_max)
+    diag_shift = _oracle_shifts(spec, config.nmax)
     rows = []
-    for n in range(config.n_max + 1):
+    for n in range(config.nmax + 1):
         vals = [_SCHEMES[name].fn(spec, n)[1] / hw for name in columns]
         oracle = diag_shift[n]
         rows.append([n, *vals, oracle, max(abs(v - oracle) for v in vals)])
@@ -298,10 +294,10 @@ def _oracle_shifts(spec: HamiltonianSpec, n_max: int) -> list[float]:
 def cmd_frequency(config: RunConfig) -> int:
     """Weak-relativistic frequency: closed form, dJ/dE, and trajectory."""
     header = ["eps", "omega_closed", "omega_djde", "omega_rk4", "shift_over_eps"]
-    p = config.params
+    p = config.units
     w0 = p.omega0
     rows = []
-    for eps in config.epsilon_list:
+    for eps in config.eps:
         if eps == 0.0:
             rows.append([eps, w0, w0, w0, 3.0 / 8.0])
             continue
@@ -317,17 +313,18 @@ def cmd_frequency(config: RunConfig) -> int:
     return 0
 
 
-def cmd_levels(scheme: str, config: RunConfig) -> int:
+def cmd_levels(config: RunConfig) -> int:
     """Spectrum of one scheme with its oracle's energy beside each level."""
+    scheme = config.scheme
     if scheme not in _LEVEL_SCHEMES:
-        raise UnknownScheme(f"no spectrum scheme named {scheme!r}")
+        raise ConfigInvalid(f"no spectrum scheme named {scheme!r}")
     if config.show_scheme:
         _print_scheme_notes([scheme])
     entry = _SCHEMES[scheme]
     spec = _oracle_spec(entry.oracle, config)
     hw = _hw(spec)
-    levels = [entry.fn(spec, n) for n in range(config.n_max + 1)]
-    shifts = _oracle_shifts(spec, config.n_max)
+    levels = [entry.fn(spec, n) for n in range(config.nmax + 1)]
+    shifts = _oracle_shifts(spec, config.nmax)
     rows = []
     for n, (energy, correction) in enumerate(levels):
         oe = (n + 0.5) * hw + shifts[n] * hw
@@ -340,21 +337,22 @@ def cmd_levels(scheme: str, config: RunConfig) -> int:
 
 def _warn_ignored_flags(args: argparse.Namespace) -> None:
     """One stderr warning per levels flag the chosen scheme does not read."""
-    kind = _SCHEMES[args.scheme].oracle
-    for flag, used_by in _LEVELS_FLAG_KINDS.items():
-        if getattr(args, flag) is not None and kind is not used_by:
-            print(
-                f"actionvar: warning: --{flag} does not apply to scheme "
-                f"{args.scheme!r} and is ignored",
-                file=sys.stderr,
-            )
+    scheme = getattr(args, "scheme", None)
+    if scheme is None:
+        return
+    kind = _SCHEMES[scheme].oracle
+    for name, setting in _SETTINGS.items():
+        if setting.kind not in (None, kind) and getattr(args, name, None) is not None:
+            warning = f"--{name} does not apply to scheme {scheme!r} and is ignored"
+            print(f"actionvar: warning: {warning}", file=sys.stderr)
 
 
 # -- configuration plumbing ---------------------------------------------------
 
 
-def _parse_units(text: str) -> dict[str, float]:
-    out = {}
+def _units(text: str) -> OscillatorParams:
+    """Units from a comma list like k=4,c=20; the ones not named keep their defaults."""
+    units = {key: getattr(_SETTINGS["units"].default, key) for key in ("m", "k", "c", "hbar")}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -363,13 +361,66 @@ def _parse_units(text: str) -> dict[str, float]:
             raise ConfigInvalid(f"units entry {item!r} is not key=value")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in ("m", "k", "hbar", "c"):
+        if key not in units:
             raise ConfigInvalid(f"unknown unit key {key!r}")
         try:
-            out[key] = float(value)
+            units[key] = float(value)
         except ValueError as exc:
             raise ConfigInvalid(f"bad unit value in {item!r}") from exc
-    return out
+    return make_params(**units)
+
+
+def _eps_list(text: str) -> tuple[float, ...]:
+    """Comma list of eps values; blank text keeps the default."""
+    if not text:
+        return _SETTINGS["eps"].default
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """A flag and config-file key: help text, text converter and default.
+
+    kind is the one oracle Hamiltonian that reads the setting, where only
+    one does: levels warns when its scheme's oracle is another kind.
+    A setting with choices is a required flag.
+    """
+
+    help: str | None
+    convert: Callable[[str], object]
+    default: object
+    kind: HamiltonianKind | None = None
+    choices: list[str] | None = None
+
+
+# --ratio sets c, which only the weak-relativistic kinetic term contains,
+# and --delta is the quartic strength.
+_SETTINGS = {
+    "units": _Setting("comma list like m=1,k=1,hbar=1,c=10", _units, natural_params(c=10.0)),
+    "eps": _Setting("comma list of eps values", _eps_list, (0.01, 0.05, 0.1)),
+    "ratio": _Setting("hbar*omega0 / m c^2", float, 0.01, HamiltonianKind.WEAK_REL),
+    "nmax": _Setting("highest quantum number", int, 10),
+    "delta": _Setting("quartic strength (aho scheme)", float, 0.0, HamiltonianKind.QUARTIC_AHO),
+    "csv": _Setting("write CSV to this path", str, None),
+    "scheme": _Setting(None, str, None, choices=_LEVEL_SCHEMES),
+}
+
+
+@dataclass(frozen=True)
+class _Command:
+    run: Callable[[RunConfig], int]
+    help: str
+    settings: tuple[str, ...]
+
+
+_COMMANDS = {
+    "table1": _Command(cmd_table1, "classical action comparison", ("eps",)),
+    "table2": _Command(cmd_table2, "quantum correction comparison", ("ratio", "nmax")),
+    "freq": _Command(cmd_frequency, "weak-relativistic frequency report", ("eps",)),
+    "levels": _Command(
+        cmd_levels, "spectrum CSV for one scheme", ("scheme", "ratio", "nmax", "delta")
+    ),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -383,73 +434,43 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigInvalid(f"{path}:{line_no}: expected key = value")
                 key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _SETTINGS:
+                    raise ConfigInvalid(f"{path}:{line_no}: unknown key {key!r}")
+                out[key] = value.strip()
     except OSError as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
     return out
 
 
+def _resolve(name: str, flag: str | None, file_values: dict[str, str]) -> object:
+    """The flag, else the config-file value, else the default, converted."""
+    setting = _SETTINGS[name]
+    raw = flag if flag is not None else file_values.get(name)
+    if raw is None:
+        return setting.default
+    try:
+        return setting.convert(raw)
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad value for {name}: {raw!r}") from exc
+
+
+def _tolerance() -> float:
+    text = os.environ.get("ACTIONVAR_TOL")
+    if not text:
+        return _DEFAULT_TOL
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad ACTIONVAR_TOL {text!r}") from exc
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    settings: dict[str, str] = {}
-    if args.config:
-        settings = _read_config_file(args.config)
-
-    def pick(name: str, flag_value):
-        if flag_value is not None:
-            return flag_value
-        return settings.get(name)
-
-    units = {"m": 1.0, "k": 1.0, "hbar": 1.0, "c": 10.0}
-    units_text = pick("units", args.units)
-    if units_text:
-        units.update(_parse_units(units_text))
-    params = make_params(units["m"], units["k"], units["c"], units["hbar"])
-
-    eps_text = pick("eps", getattr(args, "eps", None))
-    if eps_text:
-        try:
-            eps_list = [float(v) for v in str(eps_text).split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigInvalid(f"bad eps list {eps_text!r}") from exc
-    else:
-        eps_list = [0.01, 0.05, 0.1]
-
-    def pick_float(name: str, flag_value, default: float) -> float:
-        raw = pick(name, flag_value)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad value for {name}: {raw!r}") from exc
-
-    def pick_int(name: str, flag_value, default: int) -> int:
-        raw = pick(name, flag_value)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad value for {name}: {raw!r}") from exc
-
-    tol = _DEFAULT_TOL
-    env_tol = os.environ.get("ACTIONVAR_TOL")
-    if env_tol:
-        try:
-            tol = float(env_tol)
-        except ValueError as exc:
-            raise ConfigInvalid(f"bad ACTIONVAR_TOL {env_tol!r}") from exc
-
-    return RunConfig(
-        params=params,
-        epsilon_list=eps_list,
-        level_ratio=pick_float("ratio", getattr(args, "ratio", None), 0.01),
-        n_max=pick_int("nmax", getattr(args, "nmax", None), 10),
-        delta=pick_float("delta", getattr(args, "delta", None), 0.0),
-        output_path=pick("csv", args.csv),
-        show_scheme=bool(args.show_scheme),
-        tolerance=tol,
-    )
+    # every setting is resolved, so a config file is checked whole even
+    # where this subcommand reads only part of it
+    file_values = _read_config_file(args.config) if args.config else {}
+    values = {name: _resolve(name, getattr(args, name, None), file_values) for name in _SETTINGS}
+    return RunConfig(**values, show_scheme=args.show_scheme, tolerance=_tolerance())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -462,52 +483,29 @@ class _Parser(argparse.ArgumentParser):
 def _make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="actionvar", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command_name, command in _COMMANDS.items():
+        sp = sub.add_parser(command_name, help=command.help)
+        for name in command.settings:
+            _add_flag(sp, name)
         sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--units", help="comma list like m=1,k=1,hbar=1,c=10")
-        sp.add_argument("--csv", help="write CSV to this path")
+        for name in ("units", "csv"):  # the settings every subcommand takes
+            _add_flag(sp, name)
         sp.add_argument("--show-scheme", action="store_true", help="print per-column scheme tags")
-
-    sp = sub.add_parser("table1", parents=[], help="classical action comparison")
-    sp.add_argument("--eps", help="comma list of eps values")
-    common(sp)
-
-    sp = sub.add_parser("table2", help="quantum correction comparison")
-    sp.add_argument("--ratio", type=float, help="hbar*omega0 / m c^2")
-    sp.add_argument("--nmax", type=int, help="highest quantum number")
-    common(sp)
-
-    sp = sub.add_parser("freq", help="weak-relativistic frequency report")
-    sp.add_argument("--eps", help="comma list of eps values")
-    common(sp)
-
-    sp = sub.add_parser("levels", help="spectrum CSV for one scheme")
-    sp.add_argument("--scheme", required=True, choices=_LEVEL_SCHEMES)
-    sp.add_argument("--ratio", type=float, help="hbar*omega0 / m c^2")
-    sp.add_argument("--nmax", type=int, help="highest quantum number")
-    sp.add_argument("--delta", type=float, help="quartic strength (aho scheme)")
-    common(sp)
-
     return parser
 
 
+def _add_flag(sp: argparse.ArgumentParser, name: str) -> None:
+    s = _SETTINGS[name]
+    sp.add_argument(f"--{name}", help=s.help, choices=s.choices, required=s.choices is not None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        if args.command == "table1":
-            return cmd_table1(config)
-        if args.command == "table2":
-            return cmd_table2(config)
-        if args.command == "freq":
-            return cmd_frequency(config)
-        if args.command == "levels":
-            _warn_ignored_flags(args)
-            return cmd_levels(args.scheme, config)
-        raise ConfigInvalid(f"unknown command {args.command!r}")
-    except (ConfigInvalid, UnknownScheme) as exc:
+        _warn_ignored_flags(args)
+        return _COMMANDS[args.command].run(config)
+    except ConfigInvalid as exc:
         print(f"actionvar: config error: {exc}", file=sys.stderr)
         return 1
     except _CONVERGENCE_ERRORS as exc:

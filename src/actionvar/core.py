@@ -33,7 +33,6 @@ __all__ = [
     "BasisNotConverged",
     "EigensolverStalled",
     "UnknownForm",
-    "UnknownScheme",
     "ConfigInvalid",
     "IoFailure",
     "WeakRegimeWarning",
@@ -129,10 +128,6 @@ class EigensolverStalled(ActionVarError):
 
 
 class UnknownForm(ActionVarError):
-    pass
-
-
-class UnknownScheme(ActionVarError):
     pass
 
 

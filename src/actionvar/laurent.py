@@ -4,9 +4,9 @@ A series stores a finite map {power: coefficient}.  It is exact above its
 lowest trusted power trunc_low: powers below trunc_low are *unknown*, not
 zero, and trunc_low = None means the series is exact.  A coefficient is
 dropped only when it is exactly zero or lies below trunc_low, never
-because it is small.  Every operation propagates trunc_low, so a residue
-read from a series is either provably correct or refused with
-OrderInsufficient.
+because it is small.  Every operation propagates trunc_low, so a
+coefficient read from a series, the residue included, is either provably
+correct or refused with OrderInsufficient.
 
 Residue convention: for a counterclockwise origin-centred circle,
 (1/2pi) * contour integral of s dx = i * s.residue(), where s.residue()
@@ -72,6 +72,11 @@ class LaurentSeries:
         return dict(self._coeffs)
 
     def coefficient(self, power: int) -> complex:
+        """Coefficient of x**power; refuses a power below the trusted bound."""
+        if self.trunc_low is not None and power < self.trunc_low:
+            raise OrderInsufficient(
+                f"power {power} lies below the trusted bound x^{self.trunc_low}"
+            )
         return self._coeffs.get(power, 0.0 + 0.0j)
 
     def __getitem__(self, power: int) -> complex:
@@ -140,11 +145,7 @@ class LaurentSeries:
         return LaurentSeries(self._coeffs, _tighter(self.trunc_low, low))
 
     def residue(self) -> complex:
-        """Coefficient of the power -1; refuses if -1 is below the trusted bound."""
-        if self.trunc_low is not None and self.trunc_low > -1:
-            raise OrderInsufficient(
-                f"power -1 lies below the trusted bound x^{self.trunc_low}"
-            )
+        """Coefficient of the power -1."""
         return self.coefficient(-1)
 
 
@@ -172,7 +173,7 @@ def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries
     The omitted tail u**(order+1) sets the trusted bound of the result.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise OrderInsufficient(f"order must be >= 0, got {order}")
     top = u.max_power
     if top is not None and top >= 0:
         raise InvalidExpansionPoint(

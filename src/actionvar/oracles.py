@@ -190,12 +190,7 @@ def _hermite_crossing(
     return t0 + 0.5 * (a + b) * dt
 
 
-def rk4_period(
-    spec: HamiltonianSpec,
-    e_tilde: float,
-    dt: float | None = None,
-    refine_tol: float = 1e-12,
-) -> float:
+def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -> float:
     """Orbital period by direct integration of Hamilton's equations.
 
     Starts at the turning point (x2, 0); the period is the gap between the
@@ -342,6 +337,11 @@ def diagonalize(
     if basis_size < 4 * n_levels:
         raise ParameterOutOfRange(
             f"basis_size = {basis_size} < 4 * n_levels = {4 * n_levels}"
+        )
+    if certify and basis_size >= max_basis:
+        raise BasisNotConverged(
+            f"basis_size = {basis_size} leaves no doubling below max_basis = {max_basis} "
+            "to certify convergence"
         )
     vals = jacobi_eigenvalues(_hamiltonian_matrix(spec, basis_size))[:n_levels]
     if not certify:

@@ -186,24 +186,18 @@ def _solve_correction_layer(
     """First-order correction P1 with -i hbar P1' + 2 P0 P1 = rhs.
 
     P1 = sum_{l>=0} u_l x^(3-2l); matching the x^(4-2l) coefficient gives
-    a forward recurrence in l.  Returns [u_0, ..., u_{n_coeffs-1}].
+    a forward recurrence in l.  Returns [u_0, ..., u_{n_coeffs-1}]; a
+    coefficient of rhs or P0 below its trusted bound raises
+    OrderInsufficient.
     """
     b1 = p0.coefficient(1)
     if b1 == 0:
         raise RecurrenceSingular("correction layer needs a nonzero leading coefficient")
-    lowest_needed = 4 - 2 * (n_coeffs - 1)
-    if rhs.trunc_low is not None and rhs.trunc_low > lowest_needed:
-        raise OrderInsufficient(
-            f"right-hand side trusted only down to x^{rhs.trunc_low}, "
-            f"need x^{lowest_needed}"
-        )
     u: list[complex] = []
     for l in range(n_coeffs):
         acc = rhs.coefficient(4 - 2 * l)
         for j in range(2, l + 2):
-            i = l + 1 - j
-            if 0 <= i < len(u):
-                acc -= 2.0 * p0.coefficient(3 - 2 * j) * u[i]
+            acc -= 2.0 * p0.coefficient(3 - 2 * j) * u[l + 1 - j]
         if l >= 1:
             acc += 1j * hbar * (3 - 2 * (l - 1)) * u[l - 1]
         u.append(acc / (2.0 * b1))

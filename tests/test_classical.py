@@ -18,6 +18,7 @@ from actionvar.classical import (
     frequency_wr_closed,
     turning_momenta_wr,
     turning_points_wr,
+    wr_momentum_series,
 )
 from actionvar.core import (
     EpsilonOutOfRange,
@@ -221,6 +222,16 @@ class TestActionWrResidue:
     def test_nonrelativistic_limit(self):
         p, ep = params_for_eps(1e-10)
         assert action_wr_residue(p, ep).j_value == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::actionvar.core.WeakRegimeWarning")
+    @pytest.mark.parametrize("c", [3.0, 10.0, 100.0])
+    @pytest.mark.parametrize("eps", [1e-8, 0.1, 0.4999])
+    def test_equals_residue_of_a_longer_series(self, c, eps):
+        # only the x^-2 and x^-4 terms of sqrt(1 - s) reach the residue
+        p = make_params(1.0, 1.0, c, 1.0)
+        ep = energy_point(p, eps * p.rest_energy)
+        longer = (1j * wr_momentum_series(p, ep, 8).residue()).real
+        assert action_wr_residue(p, ep).j_value == longer
 
     def test_pinned_where_terms_spread_past_1e12(self):
         p = make_params(1.0, 1.0, 10.0, 1.0)

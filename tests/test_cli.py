@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from actionvar import oracles
 from actionvar.cli import main
 from actionvar.core import WeakRegimeWarning
 
@@ -87,6 +88,28 @@ class TestTable2:
         for row in rows:
             assert abs(float(row[4]) - float(row[5])) < 1e-6
 
+    def test_show_scheme_names_the_weak_rel_oracle(self, capsys):
+        code, out, _ = run(capsys, "table2", "--nmax", "1", "--show-scheme")
+        assert code == 0
+        notes = [ln for ln in out.splitlines() if ln.startswith("#   ")]
+        assert [ln.split(":")[0] for ln in notes] == [
+            "#   wr-pdx", "#   wr-xdp", "#   jwkb", "#   rs", "#   diag"
+        ]
+        assert notes[-1] == "#   diag: weak-rel -- ladder-basis diagonalization oracle"
+
+    def test_uncertifiable_basis_exits_two_before_solving(self, capsys, monkeypatch):
+        # nmax 128 needs a basis of 1024, the certification cap, so no
+        # doubling is left to certify it with
+        def no_solve(*_):
+            raise AssertionError("eigensolver ran before the refusal")
+
+        monkeypatch.setattr(oracles, "jacobi_eigenvalues", no_solve)
+        code, out, err = run(capsys, "table2", "--nmax", "128")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("actionvar: oracle convergence failure: ")
+        assert "1024" in err
+
 
 class TestFrequency:
     def test_shift_coefficient(self, capsys):
@@ -95,6 +118,13 @@ class TestFrequency:
         _, rows = table_rows(out)
         for row in rows:
             assert float(row[4]) == pytest.approx(3.0 / 8.0, rel=0.05)
+
+    def test_eps_zero_row_is_the_harmonic_limit(self, capsys):
+        code, out, _ = run(capsys, "freq", "--eps", "0,0.02")
+        assert code == 0
+        _, rows = table_rows(out)
+        assert rows[0] == ["0", "1", "1", "1", "0.375"]
+        assert rows[1][0] == "0.02"
 
     def test_three_routes_agree(self, capsys):
         code, out, _ = run(capsys, "freq", "--eps", "0.02")
@@ -253,3 +283,82 @@ class TestConfigLayering:
         assert code == 0
         _, rows = table_rows(out)
         assert float(rows[0][3]) == pytest.approx(1.0 + 3.0 * 0.05 / 16.0, rel=1e-10)
+
+    def test_blank_config_values_keep_the_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps =\nunits =\n")
+        code, out, _ = run(capsys, "table1", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "table1")[1]
+
+    def test_unknown_config_key_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nmx = 50\n")
+        code, out, err = run(capsys, "table2", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == f"actionvar: config error: {cfg}:1: unknown key 'nmx'\n"
+
+    def test_key_another_subcommand_reads_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.02\n")
+        code, out, _ = run(capsys, "table2", "--nmax", "1", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "table2", "--nmax", "1")[1]
+
+    def test_malformed_config_value_names_the_setting(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ratio = abc\n")
+        code, _, err = run(capsys, "table2", "--config", str(cfg))
+        assert code == 1
+        assert err == "actionvar: config error: bad value for ratio: 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv, name, value",
+        [
+            (["table2", "--ratio", "abc"], "ratio", "abc"),
+            (["table2", "--nmax", "2.5"], "nmax", "2.5"),
+            (["levels", "--scheme", "aho", "--delta", "x"], "delta", "x"),
+            (["table1", "--eps", "abc"], "eps", "abc"),
+        ],
+    )
+    def test_malformed_flag_names_the_setting(self, capsys, argv, name, value):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"actionvar: config error: bad value for {name}: {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table2", "--nmax", "-1"], "nmax must be >= 0, got -1"),
+            (["table2", "--ratio", "-1"], "ratio must be >= 0, got -1.0"),
+            (["table1", "--units", "m"], "units entry 'm' is not key=value"),
+            (["table1", "--units", "c=x"], "bad unit value in 'c=x'"),
+        ],
+    )
+    def test_out_of_range_or_malformed_value_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"actionvar: config error: {message}\n"
+
+    def test_bad_eps_list_exits_one(self, capsys):
+        code, out, err = run(capsys, "table1", "--eps", "abc")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("actionvar: config error: ") and "'abc'" in err
+
+    def test_bad_tolerance_env_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("ACTIONVAR_TOL", "abc")
+        code, out, err = run(capsys, "levels", "--scheme", "sho", "--nmax", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "actionvar: config error: bad ACTIONVAR_TOL 'abc'\n"
+
+    def test_library_refusal_exits_one(self, capsys):
+        # c = 0 passes the units parser; make_params refuses it
+        code, out, err = run(capsys, "table1", "--units", "c=0")
+        assert code == 1
+        assert out == ""
+        assert err == "actionvar: error: c must be finite and > 0, got 0.0\n"

@@ -73,6 +73,14 @@ class TestWindows:
         s = LaurentSeries({-1: 2.5}, trunc_low=-3)
         assert s.residue() == 2.5
 
+    def test_coefficient_refused_below_window(self):
+        s = LaurentSeries({-1: 2.5}, trunc_low=-3)
+        assert s.coefficient(-3) == 0.0
+        with pytest.raises(OrderInsufficient):
+            s.coefficient(-4)
+        with pytest.raises(OrderInsufficient):
+            s[-5]
+
     def test_add_intersects_windows(self):
         a = LaurentSeries({0: 1.0}, trunc_low=-2)
         b = LaurentSeries({0: 1.0}, trunc_low=-5)
@@ -124,6 +132,10 @@ class TestBinomial:
         u = LaurentSeries.term(-2, 1.0)
         s = binomial_sqrt(u, 4)
         assert s.trunc_low == -9
+
+    def test_negative_order_refused(self):
+        with pytest.raises(OrderInsufficient):
+            binomial_series(LaurentSeries.term(-2, 1.0), 0.5, -1)
 
     def test_inverse_power_alpha(self):
         # (1 - u)^(-1) is the geometric series

@@ -7,6 +7,7 @@ import pytest
 
 from actionvar.classical import action_fullrel, action_quadrature, frequency_from_action
 from actionvar.core import (
+    BasisNotConverged,
     NoClassicalRegion,
     ParameterOutOfRange,
     SchemeTag,
@@ -170,6 +171,14 @@ class TestDiagonalize:
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
         with pytest.raises(ParameterOutOfRange):
             diagonalize(spec, 16, n_levels=10)
+
+    def test_no_room_to_certify_refused_before_solving(self):
+        spec = wr_spec()
+        with pytest.raises(BasisNotConverged, match="64.*64"):
+            diagonalize(spec, 64, n_levels=4, max_basis=64)
+        with pytest.raises(BasisNotConverged, match="128.*64"):
+            diagonalize(spec, 128, n_levels=4, max_basis=64)
+        assert len(diagonalize(spec, 64, n_levels=4, certify=False, max_basis=64)) == 4
 
     def test_basis_independence(self):
         spec = wr_spec(1e-3)

@@ -13,6 +13,7 @@ from actionvar.classical import action_wr_pdx, action_wr_residue
 
 from actionvar.core import (
     NonPositiveEnergy,
+    OrderInsufficient,
     ParameterOutOfRange,
     SchemeTag,
     WeakRegimeWarning,
@@ -75,6 +76,14 @@ class TestRiccatiPdx:
         s = riccati_pdx(natural_params(), 1.0)
         assert s.coefficients.coefficient(1) == pytest.approx(1j)
         assert s.coefficients.coefficient(-1) == pytest.approx(-0.5j)
+
+    def test_untrusted_coefficient_refused(self):
+        # order 2 is trusted down to x^-1; the true x^-3 coefficient is 0.125j
+        series = riccati_pdx(natural_params(), 1.0, order=2).coefficients
+        with pytest.raises(OrderInsufficient):
+            series.coefficient(-3)
+        exact = riccati_pdx(natural_params(), 1.0, order=3).coefficients
+        assert exact.coefficient(-3) == pytest.approx(0.125j)
 
     def test_b2_general_units(self):
         p = make_params(2.0, 8.0, 10.0, 0.6)
