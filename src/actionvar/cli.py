@@ -171,7 +171,7 @@ def _checked_by(kind: HamiltonianKind) -> list[str]:
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one run: a field per _SETTINGS row, --show-scheme, ACTIONVAR_TOL."""
+    """Resolved settings for a run: each _SETTINGS row, --scheme, --show-scheme, ACTIONVAR_TOL."""
 
     units: OscillatorParams
     eps: tuple[float, ...]
@@ -383,14 +383,12 @@ class _Setting:
 
     kind is the one oracle Hamiltonian that reads the setting, where only
     one does: levels warns when its scheme's oracle is another kind.
-    A setting with choices is a required flag.
     """
 
-    help: str | None
+    help: str
     convert: Callable[[str], object]
     default: object
     kind: HamiltonianKind | None = None
-    choices: list[str] | None = None
 
 
 # --ratio sets c, which only the weak-relativistic kinetic term contains,
@@ -402,15 +400,17 @@ _SETTINGS = {
     "nmax": _Setting("highest quantum number", int, 10),
     "delta": _Setting("quartic strength (aho scheme)", float, 0.0, HamiltonianKind.QUARTIC_AHO),
     "csv": _Setting("write CSV to this path", str, None),
-    "scheme": _Setting(None, str, None, choices=_LEVEL_SCHEMES),
 }
 
 
 @dataclass(frozen=True)
 class _Command:
+    """A subcommand; takes_scheme adds the required --scheme flag, which no config key sets."""
+
     run: Callable[[RunConfig], int]
     help: str
     settings: tuple[str, ...]
+    takes_scheme: bool = False
 
 
 _COMMANDS = {
@@ -418,7 +418,7 @@ _COMMANDS = {
     "table2": _Command(cmd_table2, "quantum correction comparison", ("ratio", "nmax")),
     "freq": _Command(cmd_frequency, "weak-relativistic frequency report", ("eps",)),
     "levels": _Command(
-        cmd_levels, "spectrum CSV for one scheme", ("scheme", "ratio", "nmax", "delta")
+        cmd_levels, "spectrum CSV for one scheme", ("ratio", "nmax", "delta"), takes_scheme=True
     ),
 }
 
@@ -470,7 +470,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     # where this subcommand reads only part of it
     file_values = _read_config_file(args.config) if args.config else {}
     values = {name: _resolve(name, getattr(args, name, None), file_values) for name in _SETTINGS}
-    return RunConfig(**values, show_scheme=args.show_scheme, tolerance=_tolerance())
+    scheme = getattr(args, "scheme", None)
+    return RunConfig(**values, scheme=scheme, show_scheme=args.show_scheme, tolerance=_tolerance())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -485,18 +486,15 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command_name, command in _COMMANDS.items():
         sp = sub.add_parser(command_name, help=command.help)
+        if command.takes_scheme:
+            sp.add_argument("--scheme", required=True, choices=_LEVEL_SCHEMES)
         for name in command.settings:
-            _add_flag(sp, name)
+            sp.add_argument(f"--{name}", help=_SETTINGS[name].help)
         sp.add_argument("--config", help="flat key = value config file")
         for name in ("units", "csv"):  # the settings every subcommand takes
-            _add_flag(sp, name)
+            sp.add_argument(f"--{name}", help=_SETTINGS[name].help)
         sp.add_argument("--show-scheme", action="store_true", help="print per-column scheme tags")
     return parser
-
-
-def _add_flag(sp: argparse.ArgumentParser, name: str) -> None:
-    s = _SETTINGS[name]
-    sp.add_argument(f"--{name}", help=s.help, choices=s.choices, required=s.choices is not None)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -299,6 +299,15 @@ class TestConfigLayering:
         assert out == ""
         assert err == f"actionvar: config error: {cfg}:1: unknown key 'nmx'\n"
 
+    def test_scheme_is_not_a_config_key(self, capsys, tmp_path):
+        # levels requires --scheme as a flag, so a file value could never apply
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = aho\n")
+        code, out, err = run(capsys, "levels", "--scheme", "sho", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == f"actionvar: config error: {cfg}:1: unknown key 'scheme'\n"
+
     def test_key_another_subcommand_reads_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eps = 0.02\n")
@@ -342,12 +351,6 @@ class TestConfigLayering:
         assert code == 1
         assert out == ""
         assert err == f"actionvar: config error: {message}\n"
-
-    def test_bad_eps_list_exits_one(self, capsys):
-        code, out, err = run(capsys, "table1", "--eps", "abc")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("actionvar: config error: ") and "'abc'" in err
 
     def test_bad_tolerance_env_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("ACTIONVAR_TOL", "abc")
