@@ -22,16 +22,12 @@ import numpy as np
 
 from .core import (
     ActionResult,
-    DerivativeNotFinite,
     EnergyPoint,
-    NonPositiveEnergy,
-    NoClassicalRegion,
+    NotConverged,
     OrderInsufficient,
     OscillatorParams,
     ParameterOutOfRange,
-    QuadratureNotConverged,
     SchemeTag,
-    UnknownForm,
     energy_point,
     require_weak_regime,
 )
@@ -241,7 +237,7 @@ def action_fullrel(
         coeffs = _FULLREL_XDP_COEFFS
         u = ep.epsilon
     else:
-        raise UnknownForm(f"form must be a fully relativistic scheme, got {form}")
+        raise ParameterOutOfRange(f"form must be a fully relativistic scheme, got {form}")
     if n_terms is None:
         n_terms = len(coeffs)
     if not 1 <= n_terms <= len(coeffs):
@@ -278,7 +274,7 @@ def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
     count doubles until two successive values agree to 1e-11 relative.
     """
     if e <= 0:
-        raise NoClassicalRegion(f"energy must exceed the potential minimum 0, got {e}")
+        raise ParameterOutOfRange(f"energy must exceed the potential minimum 0, got {e}")
     x2 = hamiltonian.turning_point(e)
 
     def value(nodes: int) -> float:
@@ -295,7 +291,7 @@ def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
         if abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300):
             return cur
         prev = cur
-    raise QuadratureNotConverged(
+    raise NotConverged(
         f"no 1e-11 agreement up to {2**14} Gauss-Legendre nodes"
     )
 
@@ -313,7 +309,7 @@ def frequency_from_action(j_of_e: Callable[[float], float], e: float) -> float:
 
     d = (4.0 * central(h / 2.0) - central(h)) / 3.0
     if not math.isfinite(d) or d == 0.0:
-        raise DerivativeNotFinite(f"dJ/dE = {d} at e = {e}")
+        raise ParameterOutOfRange(f"dJ/dE = {d} at e = {e}")
     return 1.0 / d
 
 

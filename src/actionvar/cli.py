@@ -34,14 +34,10 @@ from .classical import (
 )
 from .core import (
     ActionVarError,
-    BasisNotConverged,
     ConfigInvalid,
-    EigensolverStalled,
-    EnergyDriftExceeded,
     IoFailure,
-    NoPeriodFound,
+    NotConverged,
     OscillatorParams,
-    QuadratureNotConverged,
     SchemeTag,
     SpectrumEntry,
     energy_point,
@@ -59,14 +55,6 @@ from .oracles import (
 from .quantum import eigenvalues_aho, eigenvalues_wr_pdx, eigenvalues_wr_xdp
 
 __all__ = ["RunConfig", "main", "cmd_table1", "cmd_table2", "cmd_frequency", "cmd_levels"]
-
-_CONVERGENCE_ERRORS = (
-    QuadratureNotConverged,
-    EnergyDriftExceeded,
-    NoPeriodFound,
-    BasisNotConverged,
-    EigensolverStalled,
-)
 
 _DEFAULT_TOL = 1e-3
 
@@ -371,10 +359,13 @@ def _units(text: str) -> OscillatorParams:
 
 
 def _eps_list(text: str) -> tuple[float, ...]:
-    """Comma list of eps values; blank text keeps the default."""
-    if not text:
+    """Comma list of eps values; blank text keeps the default, an empty list is refused."""
+    if not text.strip():
         return _SETTINGS["eps"].default
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("no eps values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -506,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"actionvar: config error: {exc}", file=sys.stderr)
         return 1
-    except _CONVERGENCE_ERRORS as exc:
+    except NotConverged as exc:
         print(f"actionvar: oracle convergence failure: {exc}", file=sys.stderr)
         return 2
     except IoFailure as exc:

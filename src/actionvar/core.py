@@ -15,24 +15,10 @@ from enum import Enum
 
 __all__ = [
     "ActionVarError",
-    "NonPositiveParameter",
-    "NonPositiveEnergy",
-    "EpsilonOutOfRange",
     "ParameterOutOfRange",
-    "InvalidExpansionPoint",
     "OrderInsufficient",
-    "RecurrenceSingular",
-    "BracketNotFound",
-    "NotMonotonic",
-    "RootNotConverged",
-    "NoClassicalRegion",
-    "QuadratureNotConverged",
-    "DerivativeNotFinite",
-    "EnergyDriftExceeded",
-    "NoPeriodFound",
+    "NotConverged",
     "BasisNotConverged",
-    "EigensolverStalled",
-    "UnknownForm",
     "ConfigInvalid",
     "IoFailure",
     "WeakRegimeWarning",
@@ -56,87 +42,34 @@ EPSILON_SOFT_LIMIT = 0.1
 
 
 class ActionVarError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class NonPositiveParameter(ActionVarError):
-    pass
-
-
-class NonPositiveEnergy(ActionVarError):
-    pass
-
-
-class EpsilonOutOfRange(ActionVarError):
-    pass
+    Each subclass names one remedy open to the caller.
+    """
 
 
 class ParameterOutOfRange(ActionVarError):
-    pass
-
-
-class InvalidExpansionPoint(ActionVarError):
-    pass
+    """The input, a function passed in included, is outside what the routine handles."""
 
 
 class OrderInsufficient(ActionVarError):
-    pass
+    """A series cannot give a trusted value at this order."""
 
 
-class RecurrenceSingular(ActionVarError):
-    pass
+class NotConverged(ActionVarError):
+    """An iterative routine used its whole budget without converging."""
 
 
-class BracketNotFound(ActionVarError):
-    pass
-
-
-class NotMonotonic(ActionVarError):
-    pass
-
-
-class RootNotConverged(ActionVarError):
-    pass
-
-
-class NoClassicalRegion(ActionVarError):
-    pass
-
-
-class QuadratureNotConverged(ActionVarError):
-    pass
-
-
-class DerivativeNotFinite(ActionVarError):
-    pass
-
-
-class EnergyDriftExceeded(ActionVarError):
-    pass
-
-
-class NoPeriodFound(ActionVarError):
-    pass
-
-
-class BasisNotConverged(ActionVarError):
-    pass
-
-
-class EigensolverStalled(ActionVarError):
-    pass
-
-
-class UnknownForm(ActionVarError):
-    pass
+class BasisNotConverged(NotConverged):
+    """Diagonalization found no basis size that certifies the levels."""
 
 
 class ConfigInvalid(ActionVarError):
-    pass
+    """A command-line setting, config file or environment value is malformed."""
 
 
 class IoFailure(ActionVarError):
-    pass
+    """A file could not be read or written."""
 
 
 class WeakRegimeWarning(UserWarning):
@@ -177,9 +110,9 @@ class OscillatorParams:
     def __post_init__(self) -> None:
         for name, value in (("m", self.m), ("k", self.k), ("c", self.c)):
             if not math.isfinite(value) or value <= 0:
-                raise NonPositiveParameter(f"{name} must be finite and > 0, got {value}")
+                raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value}")
         if not math.isfinite(self.hbar) or self.hbar < 0:
-            raise NonPositiveParameter(f"hbar must be finite and >= 0, got {self.hbar}")
+            raise ParameterOutOfRange(f"hbar must be finite and >= 0, got {self.hbar}")
         object.__setattr__(self, "omega0", math.sqrt(self.k / self.m))
 
     @property
@@ -239,7 +172,7 @@ def natural_params(c: float = 10.0, hbar: float = 1.0) -> OscillatorParams:
 def energy_point(params: OscillatorParams, e_tilde: float) -> EnergyPoint:
     """Attach epsilon = e_tilde/(m c^2) to a mechanical energy."""
     if not math.isfinite(e_tilde) or e_tilde <= 0:
-        raise NonPositiveEnergy(f"e_tilde must be finite and > 0, got {e_tilde}")
+        raise ParameterOutOfRange(f"e_tilde must be finite and > 0, got {e_tilde}")
     eps = e_tilde / params.rest_energy
     return EnergyPoint(e_tilde=e_tilde, epsilon=eps, weak_warn=eps > EPSILON_SOFT_LIMIT)
 
@@ -249,7 +182,7 @@ def require_weak_regime(ep: EnergyPoint, where: str) -> None:
     import warnings
 
     if ep.epsilon >= EPSILON_HARD_LIMIT:
-        raise EpsilonOutOfRange(
+        raise ParameterOutOfRange(
             f"{where}: eps = {ep.epsilon:.6g} >= {EPSILON_HARD_LIMIT}; "
             "the weak-relativistic branch points reach the real axis"
         )

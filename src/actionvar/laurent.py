@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .core import InvalidExpansionPoint, OrderInsufficient
+from .core import OrderInsufficient, ParameterOutOfRange
 
 __all__ = [
     "LaurentSeries",
@@ -176,7 +176,7 @@ def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries
         raise OrderInsufficient(f"order must be >= 0, got {order}")
     top = u.max_power
     if top is not None and top >= 0:
-        raise InvalidExpansionPoint(
+        raise ParameterOutOfRange(
             f"u has a term in x^{top}; (1-u)^alpha about infinity needs u -> 0"
         )
 

@@ -17,16 +17,11 @@ import numpy as np
 
 from .core import (
     BasisNotConverged,
-    EigensolverStalled,
-    EnergyDriftExceeded,
-    NoClassicalRegion,
-    NonPositiveEnergy,
-    NoPeriodFound,
+    NotConverged,
     OscillatorParams,
     ParameterOutOfRange,
     SchemeTag,
     SpectrumEntry,
-    UnknownForm,
 )
 from .rootfind import bracketed_root, expand_bracket
 
@@ -115,12 +110,12 @@ class HamiltonianSpec:
     def turning_point(self, e_tilde: float) -> float:
         """Positive turning point x2 with V(x2) = e_tilde."""
         if e_tilde <= 0:
-            raise NonPositiveEnergy(f"e_tilde must be > 0, got {e_tilde}")
+            raise ParameterOutOfRange(f"e_tilde must be > 0, got {e_tilde}")
         k = self.params.k
         if self.kind is HamiltonianKind.QUARTIC_AHO:
             disc = k * k / 4 + 4 * self.delta * e_tilde
             if disc < 0:
-                raise NoClassicalRegion(
+                raise ParameterOutOfRange(
                     f"no turning point: delta = {self.delta} turns the potential over "
                     f"below e_tilde = {e_tilde}"
                 )
@@ -140,7 +135,7 @@ class HamiltonianSpec:
         w = e_tilde - self.potential(x)
         outside = w <= -1e-12 * max(e_tilde, 1.0)
         if outside.any():
-            raise NoClassicalRegion(
+            raise ParameterOutOfRange(
                 f"x = {x[outside].flat[0]} is outside the orbit at e_tilde = {e_tilde}"
             )
         w = np.maximum(w, 0.0)
@@ -150,7 +145,7 @@ class HamiltonianSpec:
             # smaller root of p^4 - 4m^2c^2 p^2 + 8m^3c^2 w = 0
             q = 1.0 - 2 * w / (m * c * c)
             if (q < 0).any():
-                raise NoClassicalRegion(
+                raise ParameterOutOfRange(
                     "weak-relativistic momentum undefined: e - V = "
                     f"{w[q < 0].flat[0]} exceeds m c^2 / 2"
                 )
@@ -196,11 +191,14 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
     Starts at the turning point (x2, 0); the period is the gap between the
     first two zero-up-crossings of p(t), each refined by inverse cubic
     Hermite interpolation.  Runs with relative energy drift above 1e-9 are
-    rejected and retried with a halved step, up to 6 times.
+    rejected and retried with a halved step, up to 6 times.  dt must be
+    finite and positive.
     """
     t0_guess = 2 * math.pi / spec.params.omega0
     if dt is None:
         dt = t0_guess / 2000.0
+    if not 0.0 < dt < math.inf:
+        raise ParameterOutOfRange(f"dt must be finite and > 0, got {dt}")
     x2 = spec.turning_point(e_tilde)
 
     velocity, force = spec.flow()
@@ -229,7 +227,7 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
                 crossings.append(_hermite_crossing(t, dt, p, pn, f, f_next))
             x, p, t, f = xn, pn, t + dt, f_next
         if len(crossings) < 2:
-            raise NoPeriodFound(
+            raise NotConverged(
                 f"fewer than two momentum up-crossings within t = {t_max:.4g}"
             )
         drift = abs(spec.energy(x, p) - e_tilde) / e_tilde
@@ -237,7 +235,7 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
             period = crossings[1] - crossings[0]
             return period
         dt *= 0.5
-    raise EnergyDriftExceeded(
+    raise NotConverged(
         f"relative energy drift {drift:.3g} > 1e-9 even after 6 step halvings"
     )
 
@@ -268,7 +266,7 @@ def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
     elif spec.kind is HamiltonianKind.QUARTIC_AHO:
         h = h + spec.delta * (x2 @ x2)
     elif spec.kind is HamiltonianKind.FULL_REL:
-        raise UnknownForm(
+        raise ParameterOutOfRange(
             "the square-root kinetic operator has no finite ladder-band representation"
         )
     return h
@@ -282,6 +280,8 @@ def jacobi_eigenvalues(
     Sweeps rotate away each off-diagonal pair in turn until the
     off-diagonal Frobenius norm drops below tol times the diagonal scale.
     """
+    if max_sweeps < 1:
+        raise ParameterOutOfRange(f"max_sweeps must be >= 1, got {max_sweeps}")
     a = np.array(mat, dtype=float, copy=True)
     n = a.shape[0]
     if n == 1:
@@ -314,7 +314,7 @@ def jacobi_eigenvalues(
                 a[:, p] = cth * cp - sth * cq
                 a[:, q] = sth * cp + cth * cq
                 a[p, q] = a[q, p] = 0.0
-    raise EigensolverStalled(
+    raise NotConverged(
         f"off-diagonal norm {off:.3g} still above {target:.3g} after {max_sweeps} sweeps"
     )
 

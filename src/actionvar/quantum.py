@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from .core import (
     ActionResult,
     EnergyPoint,
-    NonPositiveEnergy,
     OrderInsufficient,
     OscillatorParams,
     ParameterOutOfRange,
-    RecurrenceSingular,
     SchemeTag,
     SpectrumEntry,
     WeakRegimeWarning,
@@ -83,7 +81,7 @@ def _riccati_series(
     """
     b1 = lead_sign * 1j * math.sqrt(abs(lead_sq))
     if b1 == 0:
-        raise RecurrenceSingular("leading coefficient vanished")
+        raise ParameterOutOfRange("leading coefficient vanished")
     b = [0j, b1]  # 1-indexed
     for n in range(3, order + 2):
         acc = rhs_const if n == 3 else 0j
@@ -118,7 +116,7 @@ def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     b2 = -i sqrt(m/k) E + i hbar / 2.
     """
     if e <= 0:
-        raise NonPositiveEnergy(f"e must be > 0, got {e}")
+        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     if order < 2:
         raise OrderInsufficient(f"order must be >= 2, got {order}")
     m, k, hbar = params.m, params.k, params.hbar
@@ -140,7 +138,7 @@ def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     b'2 = -i (hbar/2 - E/omega0).
     """
     if e <= 0:
-        raise NonPositiveEnergy(f"e must be > 0, got {e}")
+        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     if order < 2:
         raise OrderInsufficient(f"order must be >= 2, got {order}")
     m, k, hbar = params.m, params.k, params.hbar
@@ -192,7 +190,7 @@ def _solve_correction_layer(
     """
     b1 = p0.coefficient(1)
     if b1 == 0:
-        raise RecurrenceSingular("correction layer needs a nonzero leading coefficient")
+        raise ParameterOutOfRange("correction layer needs a nonzero leading coefficient")
     u: list[complex] = []
     for l in range(n_coeffs):
         acc = rhs.coefficient(4 - 2 * l)
@@ -256,7 +254,7 @@ def wr_correction_pdx(params: OscillatorParams, ep: EnergyPoint) -> tuple[float,
     """
     require_weak_regime(ep, "wr_correction_pdx")
     if ep.e_tilde <= 0:
-        raise NonPositiveEnergy(f"e_tilde must be > 0, got {ep.e_tilde}")
+        raise ParameterOutOfRange(f"e_tilde must be > 0, got {ep.e_tilde}")
     return 1.0, 1.0 + 7.0 * params.hbar * params.omega0 / (4.0 * ep.e_tilde)
 
 
@@ -283,7 +281,7 @@ def wr_correction_derived(
 
 def _real(z: complex, tol: float = 1e-9) -> float:
     if abs(z.imag) > tol * max(abs(z.real), 1.0):
-        raise RecurrenceSingular(f"expected a real value, got {z}")
+        raise OrderInsufficient(f"expected a real value, got {z}")
     return z.real
 
 
@@ -445,7 +443,7 @@ def aho_coeffs(
     lam = hbar omega0 / (4 e).
     """
     if e <= 0:
-        raise NonPositiveEnergy(f"e must be > 0, got {e}")
+        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     _aho_smallness_check(params, e, delta)
     lam = params.hbar * params.omega0 / (4.0 * e)
     return 1.0, 1.0 + lam, 1.0 - 1.5 * lam + 2.0 * lam * lam, lam
@@ -461,7 +459,7 @@ def aho_coeffs_derived(
     u_l = (1/k) sum_{j + l' = l + 1} b_j D_l' t^l' with t = x2^2.
     """
     if e <= 0:
-        raise NonPositiveEnergy(f"e must be > 0, got {e}")
+        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     p0, u = _aho_correction_layer(params, e)
     k = params.k
     t = 2.0 * e / k
@@ -480,7 +478,7 @@ def quantum_action_aho(params: OscillatorParams, e: float, delta: float) -> Acti
     16 e^2/omega0^2), the hbar-safe rewriting of the lambda form.
     """
     if e <= 0:
-        raise NonPositiveEnergy(f"e must be > 0, got {e}")
+        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     _aho_smallness_check(params, e, delta)
     ep = energy_point(params, e)
     m, w0, hbar = params.m, params.omega0, params.hbar
@@ -499,7 +497,7 @@ def quantum_action_aho_residue(
 ) -> ActionResult:
     """Anharmonic action assembled from the x^(-1) residue b2 + delta u_2."""
     if e <= 0:
-        raise NonPositiveEnergy(f"e must be > 0, got {e}")
+        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     ep = energy_point(params, e)
     p0, u = _aho_correction_layer(params, e)
     j = _real(1j * (p0.coefficient(-1) + delta * u[2]))

@@ -3,7 +3,7 @@
 Secant (regula falsi) steps kept inside the current bracket, with
 bisection whenever a step would leave it.  Regula falsi can stall on one
 endpoint of a strongly curved function, so a root that has not converged
-after max_iter iterations raises RootNotConverged instead of being
+after max_iter iterations raises NotConverged instead of being
 returned.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import BracketNotFound, NotMonotonic, RootNotConverged
+from .core import NotConverged, ParameterOutOfRange
 
 __all__ = ["bracketed_root", "expand_bracket"]
 
@@ -36,7 +36,7 @@ def expand_bracket(
         lo = max(lo - width, lo * 0.5) if lo > 0 else lo - width
         hi = hi + width
         flo, fhi = f(lo), f(hi)
-    raise BracketNotFound(f"no sign change found in expanded bracket around [{lo}, {hi}]")
+    raise ParameterOutOfRange(f"no sign change found in expanded bracket around [{lo}, {hi}]")
 
 
 def bracketed_root(
@@ -50,8 +50,8 @@ def bracketed_root(
 ) -> float:
     """Root of f in [lo, hi] with |f(root)| <= f_tol.
 
-    With require_increasing, raises NotMonotonic if f(lo) > f(hi).
-    Raises RootNotConverged if neither tolerance is met after max_iter
+    With require_increasing, raises ParameterOutOfRange if f(lo) > f(hi).
+    Raises NotConverged if neither tolerance is met after max_iter
     iterations.
     """
     flo, fhi = f(lo), f(hi)
@@ -60,9 +60,9 @@ def bracketed_root(
     if fhi == 0.0:
         return hi
     if require_increasing and flo > fhi:
-        raise NotMonotonic("function decreases across the bracket")
+        raise ParameterOutOfRange("function decreases across the bracket")
     if flo * fhi > 0:
-        raise BracketNotFound(f"f({lo}) = {flo:.6g} and f({hi}) = {fhi:.6g} have equal sign")
+        raise ParameterOutOfRange(f"f({lo}) = {flo:.6g} and f({hi}) = {fhi:.6g} have equal sign")
 
     a, fa, b, fb = lo, flo, hi, fhi
     x, fx = a, fa
@@ -81,7 +81,7 @@ def bracketed_root(
             a, fa = x, fx
         if b - a <= max(abs(x), 1.0) * 4.0 * math.ulp(1.0):
             return x
-    raise RootNotConverged(
+    raise NotConverged(
         f"no root within f_tol = {f_tol:.3g} after {max_iter} iterations on "
         f"[{lo}, {hi}]: last iterate x = {x:.17g} has f = {fx:.6g}"
     )

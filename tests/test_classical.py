@@ -21,10 +21,9 @@ from actionvar.classical import (
     wr_momentum_series,
 )
 from actionvar.core import (
-    EpsilonOutOfRange,
     OrderInsufficient,
+    ParameterOutOfRange,
     SchemeTag,
-    UnknownForm,
     WeakRegimeWarning,
     energy_point,
     make_params,
@@ -66,7 +65,7 @@ class TestTurningPoints:
     def test_hard_limit(self):
         p = make_params(1.0, 1.0, 1.0, 1.0)
         ep = energy_point(p, 0.5)
-        with pytest.raises(EpsilonOutOfRange):
+        with pytest.raises(ParameterOutOfRange, match="branch points reach the real axis"):
             turning_points_wr(p, ep)
 
 
@@ -268,7 +267,7 @@ class TestActionFullrel:
 
     def test_unknown_form_rejected(self):
         p, ep = params_for_eps(0.1)
-        with pytest.raises(UnknownForm):
+        with pytest.raises(ParameterOutOfRange, match="form must be a fully relativistic scheme"):
             action_fullrel(p, ep, SchemeTag.CLASSICAL_SHO)
 
     def test_too_many_terms_rejected(self):
@@ -287,6 +286,10 @@ class TestActionFullrel:
 
 
 class TestFrequency:
+    def test_flat_action_refused(self):
+        with pytest.raises(ParameterOutOfRange, match="dJ/dE = 0.0 at e = 1.0"):
+            frequency_from_action(lambda e: 1.0, 1.0)
+
     def test_sho_isochronous(self):
         p = natural_params()
         for e in (0.5, 1.0, 3.0):

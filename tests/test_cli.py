@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from actionvar import oracles
+from actionvar import cli, oracles
 from actionvar.cli import main
-from actionvar.core import WeakRegimeWarning
+from actionvar.core import ConfigInvalid, IoFailure, NotConverged, WeakRegimeWarning
 
 
 def run(capsys, *argv):
@@ -132,6 +132,16 @@ class TestFrequency:
         _, rows = table_rows(out)
         omegas = [float(v) for v in rows[0][1:4]]
         assert max(omegas) - min(omegas) < 5e-4
+
+    def test_any_unconverged_oracle_exits_two(self, capsys, monkeypatch):
+        def stalled(*_):
+            raise NotConverged("planted")
+
+        monkeypatch.setattr(cli, "rk4_period", stalled)
+        code, out, err = run(capsys, "freq", "--eps", "0.02")
+        assert code == 2
+        assert out == ""
+        assert err == "actionvar: oracle convergence failure: planted\n"
 
 
 class TestLevels:
@@ -268,6 +278,19 @@ class TestConfigLayering:
         code, _, err = run(capsys, "table1", "--config", str(tmp_path / "absent.cfg"))
         assert code == 3
 
+    def test_read_of_a_missing_file_refused(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot read config .*absent.cfg"):
+            cli._read_config_file(str(tmp_path / "absent.cfg"))
+
+    def test_resolve_refuses_a_value_that_does_not_convert(self):
+        with pytest.raises(ConfigInvalid, match="bad value for nmax: '2.5'"):
+            cli._resolve("nmax", "2.5", {})
+
+    def test_whitespace_eps_keeps_the_default(self, capsys):
+        code, out, _ = run(capsys, "table1", "--eps", "  ")
+        assert code == 0
+        assert out == run(capsys, "table1")[1]
+
     def test_bad_eps_exits_one(self, capsys):
         code, _, err = run(capsys, "table1", "--eps", "0.7")
         assert code == 1
@@ -329,6 +352,8 @@ class TestConfigLayering:
             (["table2", "--nmax", "2.5"], "nmax", "2.5"),
             (["levels", "--scheme", "aho", "--delta", "x"], "delta", "x"),
             (["table1", "--eps", "abc"], "eps", "abc"),
+            (["table1", "--eps", ","], "eps", ","),
+            (["freq", "--eps", " , ,"], "eps", " , ,"),
         ],
     )
     def test_malformed_flag_names_the_setting(self, capsys, argv, name, value):

@@ -1,14 +1,14 @@
 """Parameter bundles, energy points, and the error taxonomy."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+from actionvar import core
 from actionvar.core import (
     EPSILON_HARD_LIMIT,
-    EpsilonOutOfRange,
-    NonPositiveEnergy,
-    NonPositiveParameter,
+    ParameterOutOfRange,
     SchemeTag,
     WeakRegimeWarning,
     energy_point,
@@ -35,11 +35,11 @@ class TestMakeParams:
 
     @pytest.mark.parametrize("bad", [(0, 1, 1, 1), (1, -2, 1, 1), (1, 1, 0, 1), (1, 1, 1, -1)])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(ParameterOutOfRange, match=r"must be finite and >=? 0, got -?[0-9]"):
             make_params(*bad)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(ParameterOutOfRange, match="m must be finite and > 0, got inf"):
             make_params(math.inf, 1, 1, 1)
 
     def test_level_ratio(self):
@@ -71,9 +71,9 @@ class TestEnergyPoint:
 
     def test_rejects_nonpositive_energy(self):
         p = natural_params()
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(ParameterOutOfRange, match="e_tilde must be finite and > 0, got 0.0"):
             energy_point(p, 0.0)
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(ParameterOutOfRange, match="e_tilde must be finite and > 0, got -1.0"):
             energy_point(p, -1.0)
 
 
@@ -81,7 +81,7 @@ class TestWeakRegimeGate:
     def test_hard_limit_raises(self):
         p = make_params(1.0, 1.0, 1.0, 1.0)
         ep = energy_point(p, EPSILON_HARD_LIMIT + 0.01)
-        with pytest.raises(EpsilonOutOfRange):
+        with pytest.raises(ParameterOutOfRange, match="branch points reach the real axis"):
             require_weak_regime(ep, "test")
 
     def test_soft_limit_warns(self):
@@ -104,3 +104,32 @@ class TestSchemeTag:
         assert SchemeTag.CLASSICAL_WR_PDX.value == "classical-wr-pdx"
         assert SchemeTag.RAYLEIGH_SCHRODINGER.value == "rayleigh-schrodinger"
         assert SchemeTag.JWKB_WR.value == "jwkb-wr"
+
+
+class TestErrorTaxonomy:
+    """One error class per remedy open to the caller."""
+
+    ERRORS = {
+        name
+        for name, obj in vars(core).items()
+        if isinstance(obj, type) and issubclass(obj, core.ActionVarError)
+    } - {"ActionVarError"}
+
+    def test_one_class_per_remedy(self):
+        assert self.ERRORS == {
+            "ParameterOutOfRange",
+            "OrderInsufficient",
+            "NotConverged",
+            "BasisNotConverged",
+            "ConfigInvalid",
+            "IoFailure",
+        }
+        assert self.ERRORS <= set(core.__all__)
+
+    def test_every_error_class_is_raised_and_asserted_by_name(self):
+        root = Path(__file__).resolve().parents[1]
+        src = "".join(p.read_text() for p in (root / "src" / "actionvar").glob("*.py"))
+        tests = "".join(p.read_text() for p in (root / "tests").glob("*.py"))
+        for name in sorted(self.ERRORS):
+            assert f"raise {name}(" in src, f"{name} is never raised"
+            assert f"pytest.raises({name}" in tests, f"no test asserts {name} by name"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actionvar.core import InvalidExpansionPoint, OrderInsufficient
+from actionvar.core import OrderInsufficient, ParameterOutOfRange
 from actionvar.laurent import (
     LaurentSeries,
     binomial_series,
@@ -104,19 +104,19 @@ class TestWindows:
 
 class TestBinomial:
     def test_constant_term_rejected(self):
-        with pytest.raises(InvalidExpansionPoint):
+        with pytest.raises(ParameterOutOfRange, match="about infinity needs u -> 0"):
             binomial_sqrt(LaurentSeries({0: 0.5}), 3)
 
     def test_mixed_powers_rejected(self):
-        with pytest.raises(InvalidExpansionPoint):
+        with pytest.raises(ParameterOutOfRange, match="about infinity needs u -> 0"):
             binomial_sqrt(LaurentSeries({1: 1.0, -1: 1.0}), 3)
 
     def test_positive_powers_rejected(self):
-        with pytest.raises(InvalidExpansionPoint):
+        with pytest.raises(ParameterOutOfRange, match="about infinity needs u -> 0"):
             binomial_sqrt(LaurentSeries.term(2, 1.0), 3)
 
     def test_small_constant_term_rejected(self):
-        with pytest.raises(InvalidExpansionPoint):
+        with pytest.raises(ParameterOutOfRange, match="about infinity needs u -> 0"):
             binomial_sqrt(LaurentSeries({0: 1e-15, -2: 1.0}), 3)
 
     def test_known_sqrt_coefficients(self):

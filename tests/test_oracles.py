@@ -8,10 +8,8 @@ import pytest
 from actionvar.classical import action_fullrel, action_quadrature, frequency_from_action
 from actionvar.core import (
     BasisNotConverged,
-    NoClassicalRegion,
     ParameterOutOfRange,
     SchemeTag,
-    UnknownForm,
     energy_point,
     make_params,
     natural_params,
@@ -62,7 +60,7 @@ class TestHamiltonianSpec:
     def test_negative_delta_no_region(self):
         p = natural_params()
         spec = HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, p, delta=-0.2)
-        with pytest.raises(NoClassicalRegion):
+        with pytest.raises(ParameterOutOfRange, match="no turning point: delta = -0.2"):
             spec.turning_point(10.0)
 
     def test_delta_rejected_off_quartic(self):
@@ -92,7 +90,7 @@ class TestHamiltonianSpec:
     def test_array_momentum_with_one_point_outside_orbit_raises(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
         xs = np.array([0.0, 0.5, 1.5, -0.5])  # turning point sqrt(2) at e = 1
-        with pytest.raises(NoClassicalRegion, match="x = 1.5"):
+        with pytest.raises(ParameterOutOfRange, match="x = 1.5"):
             spec.momentum(xs, 1.0)
 
     def test_momentum_snaps_rounding_below_zero_at_the_turning_point(self):
@@ -102,9 +100,9 @@ class TestHamiltonianSpec:
 
     def test_weakrel_momentum_beyond_half_rest_energy_raises(self):
         spec = wr_spec(1e-2)  # m c^2 = 100
-        with pytest.raises(NoClassicalRegion, match="exceeds m c\\^2 / 2"):
+        with pytest.raises(ParameterOutOfRange, match="exceeds m c\\^2 / 2"):
             spec.momentum(np.array([0.0, 0.1]), 60.0)
-        with pytest.raises(NoClassicalRegion):
+        with pytest.raises(ParameterOutOfRange, match="exceeds m c\\^2 / 2"):
             spec.momentum(0.0, 60.0)
 
 
@@ -144,6 +142,12 @@ class TestRk4Period:
         err2 = abs(rk4_period(spec, 1.0, dt=t0 / 2000.0) - t0)
         assert err1 / err2 == pytest.approx(16.0, rel=0.8)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_step_not_finite_and_positive_refused(self, dt):
+        spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
+        with pytest.raises(ParameterOutOfRange, match=f"dt must be finite and > 0, got {dt}"):
+            rk4_period(spec, 1.0, dt=dt)
+
 
 class TestDiagonalize:
     def test_sho_exact(self):
@@ -164,7 +168,7 @@ class TestDiagonalize:
 
     def test_fullrel_rejected(self):
         spec = HamiltonianSpec(HamiltonianKind.FULL_REL, natural_params(c=10.0))
-        with pytest.raises(UnknownForm):
+        with pytest.raises(ParameterOutOfRange, match="no finite ladder-band representation"):
             diagonalize(spec, 32)
 
     def test_basis_precondition(self):
@@ -203,6 +207,10 @@ class TestDiagonalize:
         mine = jacobi_eigenvalues(a)
         ref = np.sort(np.linalg.eigvalsh(a))
         assert np.max(np.abs(mine - ref)) < 1e-10
+
+    def test_jacobi_refuses_zero_sweeps(self):
+        with pytest.raises(ParameterOutOfRange, match="max_sweeps must be >= 1, got 0"):
+            jacobi_eigenvalues(np.eye(3), max_sweeps=0)
 
 
 class TestRsShift:

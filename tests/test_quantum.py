@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from actionvar.classical import action_wr_pdx, action_wr_residue
 
 from actionvar.core import (
-    NonPositiveEnergy,
     OrderInsufficient,
     ParameterOutOfRange,
     SchemeTag,
@@ -23,6 +22,8 @@ from actionvar.core import (
 )
 from actionvar.laurent import binomial_sqrt, LaurentSeries
 from actionvar.quantum import (
+    _real,
+    _solve_correction_layer,
     aho_coeffs,
     aho_coeffs_derived,
     eigenvalues_aho,
@@ -85,6 +86,21 @@ class TestRiccatiPdx:
         exact = riccati_pdx(natural_params(), 1.0, order=3).coefficients
         assert exact.coefficient(-3) == pytest.approx(0.125j)
 
+    def test_vanishing_leading_coefficient_refused(self):
+        # m k = 1e-400 underflows to 0, so b1 = i sqrt(m k) vanishes
+        with pytest.raises(ParameterOutOfRange, match="leading coefficient vanished"):
+            riccati_pdx(make_params(1e-200, 1e-200, 10.0, 1.0), 1.0)
+
+    def test_correction_layer_refuses_a_vanishing_lead(self):
+        p0 = LaurentSeries({-1: 1.0j})  # no x^1 term
+        with pytest.raises(ParameterOutOfRange, match="correction layer needs a nonzero leading"):
+            _solve_correction_layer(p0, LaurentSeries({}), 1.0, 2)
+
+    def test_complex_value_refused_as_untrusted(self):
+        assert _real(2.0 + 1e-12j) == 2.0
+        with pytest.raises(OrderInsufficient, match="expected a real value, got"):
+            _real(2.0 + 1e-3j)
+
     def test_b2_general_units(self):
         p = make_params(2.0, 8.0, 10.0, 0.6)
         s = riccati_pdx(p, 1.3)
@@ -115,7 +131,7 @@ class TestRiccatiPdx:
         assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(ParameterOutOfRange, match="e must be > 0, got -1.0"):
             riccati_pdx(natural_params(), -1.0)
 
     @pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(11, 2), 20, 100])

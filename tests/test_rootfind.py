@@ -2,7 +2,7 @@
 
 import pytest
 
-from actionvar.core import ActionVarError, BracketNotFound, RootNotConverged
+from actionvar.core import ActionVarError, NotConverged, ParameterOutOfRange
 from actionvar.rootfind import bracketed_root, expand_bracket
 
 
@@ -14,14 +14,24 @@ def test_converges_on_a_smooth_root():
 def test_stalled_regula_falsi_raises_instead_of_returning_its_last_iterate():
     # x^20 - 0.5 is so flat on [0, 1) that every secant step lands next to 0;
     # the iterate after 200 steps is about 1.9e-4, where f is still -0.5
-    with pytest.raises(RootNotConverged, match="after 200 iterations") as exc:
+    with pytest.raises(NotConverged, match="after 200 iterations") as exc:
         bracketed_root(lambda x: x**20 - 0.5, 0.0, 2.0, f_tol=1e-12)
     assert isinstance(exc.value, ActionVarError)
 
 
 def test_equal_signs_refused():
-    with pytest.raises(BracketNotFound):
+    with pytest.raises(ParameterOutOfRange, match="have equal sign"):
         bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, f_tol=1e-12)
+
+
+def test_decreasing_function_refused_when_increase_is_required():
+    with pytest.raises(ParameterOutOfRange, match="function decreases across the bracket"):
+        bracketed_root(lambda x: 1.0 - x, 0.0, 2.0, f_tol=1e-12, require_increasing=True)
+
+
+def test_expand_bracket_gives_up_without_a_sign_change():
+    with pytest.raises(ParameterOutOfRange, match="no sign change found in expanded bracket"):
+        expand_bracket(lambda x: x * x + 1.0, 1.0, 2.0)
 
 
 def test_expand_bracket_finds_a_sign_change():
