@@ -13,7 +13,6 @@ comes out positive and reduces to e/omega0 in the non-relativistic limit.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -251,39 +250,24 @@ def action_fullrel(
     return ActionResult(j_value=j, scheme=form, order_epsilon=n_terms - 1, e_point=ep)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sin(theta), cos(theta) and the weights of Gauss-Legendre on [-pi/2, pi/2].
-
-    Built once per node count and shared between calls, so the arrays are
-    read-only.
-    """
-    theta, weights = np.polynomial.legendre.leggauss(nodes)
-    theta = theta * (math.pi / 2.0)
-    arrays = (np.sin(theta), np.cos(theta), weights * (math.pi / 2.0))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
     """Direct numerical action (1/pi) integral of p dx between turning points.
 
-    The substitution x = x2 sin(theta) removes the square-root endpoint
-    behaviour, after which Gauss-Legendre converges exponentially; node
-    count doubles until two successive values agree to 1e-11 relative.
+    The substitution x = x2 sin(theta) turns the integrand into
+    p(x2 sin theta) x2 cos theta, a smooth, even, pi-periodic function of
+    theta, on which the midpoint rule converges exponentially (Trefethen
+    & Weideman, SIAM Rev. 56, 385 (2014)).  J is the mean of the integrand
+    at the n midpoints of the quarter period [0, pi/2]; n doubles until
+    two successive values agree to 1e-11 relative.
     """
-    if e <= 0:
-        raise ParameterOutOfRange(f"energy must exceed the potential minimum 0, got {e}")
     x2 = hamiltonian.turning_point(e)
 
     def value(nodes: int) -> float:
-        sin, cos, weights = _gauss_legendre_nodes(nodes)
-        integrand = hamiltonian.momentum(x2 * sin, e) * x2 * cos
-        # (1/pi) * integral over [-x2, x2], i.e. over theta in [-pi/2, pi/2]
-        return float(np.dot(weights, integrand)) / math.pi
+        theta = np.arange(0.5, nodes) * (math.pi / (2 * nodes))
+        integrand = hamiltonian.momentum(x2 * np.sin(theta), e) * x2 * np.cos(theta)
+        return float(integrand.sum()) / nodes
 
-    nodes = 32
+    nodes = 16
     prev = value(nodes)
     while nodes <= 2**14:
         nodes *= 2
@@ -291,9 +275,7 @@ def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
         if abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300):
             return cur
         prev = cur
-    raise NotConverged(
-        f"no 1e-11 agreement up to {2**14} Gauss-Legendre nodes"
-    )
+    raise NotConverged(f"no 1e-11 agreement up to {2**14} midpoint nodes")
 
 
 def frequency_from_action(j_of_e: Callable[[float], float], e: float) -> float:

@@ -146,7 +146,7 @@ _LEVEL_SCHEMES = [n for n, s in _SCHEMES.items() if s.oracle is not HamiltonianK
 
 # Per oracle kind: its name in the output and how it solves that Hamiltonian.
 _ORACLES = {
-    HamiltonianKind.FULL_REL: ("quadrature", "Gauss-Legendre contour integral oracle"),
+    HamiltonianKind.FULL_REL: ("quadrature", "midpoint-rule contour integral oracle"),
     HamiltonianKind.WEAK_REL: ("diag", "ladder-basis diagonalization oracle"),
     HamiltonianKind.QUARTIC_AHO: ("diag", "ladder-basis diagonalization oracle"),
     HamiltonianKind.SHO: ("exact", "closed-form harmonic levels (n + 1/2) hbar omega0"),

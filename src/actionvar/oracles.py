@@ -109,8 +109,8 @@ class HamiltonianSpec:
 
     def turning_point(self, e_tilde: float) -> float:
         """Positive turning point x2 with V(x2) = e_tilde."""
-        if e_tilde <= 0:
-            raise ParameterOutOfRange(f"e_tilde must be > 0, got {e_tilde}")
+        if not 0.0 < e_tilde < math.inf:
+            raise ParameterOutOfRange(f"e_tilde must be finite and > 0, got {e_tilde}")
         k = self.params.k
         if self.kind is HamiltonianKind.QUARTIC_AHO:
             disc = k * k / 4 + 4 * self.delta * e_tilde
@@ -185,6 +185,10 @@ def _hermite_crossing(
     return t0 + 0.5 * (a + b) * dt
 
 
+# steps per rk4_period attempt: 8 periods at the default dt after its 6 halvings
+_MAX_STEPS = 8 * 2000 * 2**6
+
+
 def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -> float:
     """Orbital period by direct integration of Hamilton's equations.
 
@@ -192,21 +196,27 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
     first two zero-up-crossings of p(t), each refined by inverse cubic
     Hermite interpolation.  Runs with relative energy drift above 1e-9 are
     rejected and retried with a halved step, up to 6 times.  dt must be
-    finite and positive.
+    finite and positive, and no attempt may integrate for more than
+    1,024,000 steps, the number the default dt reaches after 6 halvings.
     """
     t0_guess = 2 * math.pi / spec.params.omega0
+    t_max = 8.0 * t0_guess
+    min_dt = t_max / _MAX_STEPS
     if dt is None:
         dt = t0_guess / 2000.0
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be finite and > 0, got {dt}")
+    if dt < min_dt:
+        raise ParameterOutOfRange(
+            f"dt = {dt:.3g} needs more than {_MAX_STEPS} steps to reach t = {t_max:.4g}"
+        )
     x2 = spec.turning_point(e_tilde)
 
     velocity, force = spec.flow()
-    for _attempt in range(7):
+    for halvings in range(7):
         crossings: list[float] = []
         x, p = x2, 0.0
         t = 0.0
-        t_max = 8.0 * t0_guess
         half = 0.5 * dt
         # f is dp/dt at the start of the step, which is both RK4's k1p and
         # the start slope of the Hermite refinement; each step's end force
@@ -234,9 +244,12 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
         if drift <= 1e-9:
             period = crossings[1] - crossings[0]
             return period
+        if halvings == 6 or 0.5 * dt < min_dt:
+            break
         dt *= 0.5
     raise NotConverged(
-        f"relative energy drift {drift:.3g} > 1e-9 even after 6 step halvings"
+        f"relative energy drift {drift:.3g} > 1e-9 at dt = {dt:.3g} after {halvings} "
+        f"step halvings, the most that 6 halvings and {_MAX_STEPS} steps allow"
     )
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from actionvar.classical import (
-    _gauss_legendre_nodes,
     action_fullrel,
     action_quadrature,
     action_sho,
@@ -119,13 +118,36 @@ class TestActionSho:
 
 
 class TestActionQuadrature:
-    def test_node_arrays_are_built_once_and_read_only(self):
-        arrays = _gauss_legendre_nodes(32)
-        assert _gauss_legendre_nodes(32) is arrays
-        for a in arrays:
-            assert a.shape == (32,) and not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+    @pytest.mark.parametrize(
+        "e, j",
+        [
+            (5.0, 5.0486778630999036811),
+            (40.0, 44.654993584387907936),
+            (49.99, 59.990305341863801714),
+            (49.999, 60.017491276296486366),
+            (49.99999, 60.021041413907872199),
+        ],
+    )
+    def test_weak_rel_matches_elliptic_reference(self, e, j):
+        # m = k = hbar = 1, c = 10, e = eps m c^2 with eps up to 0.4999999;
+        # J = (b/(3 pi c)) [(u- + u+) E(mu) - (u+ - u-) K(mu)] with
+        # u+- = 2 c^2 (1 +- sqrt(1 - 2 eps)), mu = u-/u+ and b = sqrt(u+),
+        # evaluated at 40 digits and cross-checked by direct quadrature
+        spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, make_params(1.0, 1.0, 10.0, 1.0))
+        assert action_quadrature(spec, e) == pytest.approx(j, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("e", [0.3, 1.0, 4.7, 37.0])
+    def test_sho_is_e_over_omega0(self, e):
+        p = make_params(2.0, 8.0, 10.0, 1.0)
+        spec = HamiltonianSpec(HamiltonianKind.SHO, p)
+        assert action_quadrature(spec, e) == pytest.approx(e / p.omega0, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [HamiltonianKind.WEAK_REL, HamiltonianKind.FULL_REL])
+    @pytest.mark.parametrize("e", [0.0, math.nan, math.inf, -math.inf])
+    def test_energy_not_finite_and_positive_refused(self, kind, e):
+        spec = HamiltonianSpec(kind, natural_params())
+        with pytest.raises(ParameterOutOfRange, match=f"e_tilde must be finite and > 0, got {e}"):
+            action_quadrature(spec, e)
 
     @pytest.mark.parametrize(
         "kind, delta, eps, j",

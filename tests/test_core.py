@@ -1,6 +1,8 @@
-"""Parameter bundles, energy points, and the error taxonomy."""
+"""Parameter bundles, energy points, the error taxonomy and the imports."""
 
+import ast
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,19 @@ class TestErrorTaxonomy:
         for name in sorted(self.ERRORS):
             assert f"raise {name}(" in src, f"{name} is never raised"
             assert f"pytest.raises({name}" in tests, f"no test asserts {name} by name"
+
+
+def test_runtime_imports_are_stdlib_numpy_or_own():
+    # numpy is the one runtime dependency pyproject.toml declares
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__", "actionvar"}
+    src = Path(__file__).resolve().parents[1] / "src" / "actionvar"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["actionvar"]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

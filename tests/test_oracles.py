@@ -8,6 +8,7 @@ import pytest
 from actionvar.classical import action_fullrel, action_quadrature, frequency_from_action
 from actionvar.core import (
     BasisNotConverged,
+    NotConverged,
     ParameterOutOfRange,
     SchemeTag,
     energy_point,
@@ -146,6 +147,35 @@ class TestRk4Period:
     def test_step_not_finite_and_positive_refused(self, dt):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
         with pytest.raises(ParameterOutOfRange, match=f"dt must be finite and > 0, got {dt}"):
+            rk4_period(spec, 1.0, dt=dt)
+
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_energy_not_finite_refused(self, e):
+        spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
+        with pytest.raises(ParameterOutOfRange, match=f"e_tilde must be finite and > 0, got {e}"):
+            rk4_period(spec, e)
+
+    def test_step_beyond_budget_refused_before_integrating(self):
+        # 8 periods at dt = 1e-9 would be 5e10 steps
+        spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
+        with pytest.raises(ParameterOutOfRange, match="needs more than 1024000 steps"):
+            rk4_period(spec, 1.0, dt=1e-9)
+
+    @pytest.mark.parametrize(
+        "dt, halvings",
+        # the default dt stops at its 6th halving; one just inside the
+        # 1,024,000-step budget cannot be halved at all
+        [(None, 6), (1.5 * 16.0 * math.pi / 1_024_000, 0)],
+    )
+    def test_drift_past_the_step_budget_raises(self, dt, halvings):
+        class Drifting(HamiltonianSpec):
+            def energy(self, x, p):
+                return super().energy(x, p) * (1.0 + 1e-6)
+
+        spec = Drifting(HamiltonianKind.SHO, natural_params())
+        with pytest.raises(
+            NotConverged, match=f"drift 1e-06 > 1e-9 at dt = .* after {halvings} step halvings"
+        ):
             rk4_period(spec, 1.0, dt=dt)
 
 
