@@ -31,7 +31,7 @@ from .core import (
     make_params,
     natural_params,
 )
-from .laurent import LaurentSeries, binomial_series, binomial_sqrt
+from .laurent import LaurentSeries, binomial_sqrt
 from .oracles import (
     HamiltonianKind,
     HamiltonianSpec,
@@ -78,7 +78,6 @@ __all__ = [
     "action_wr_residue",
     "action_wr_xdp",
     "aho_coeffs",
-    "binomial_series",
     "binomial_sqrt",
     "diagonalize",
     "eigenvalues_aho",

@@ -113,6 +113,8 @@ class OscillatorParams:
                 raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value}")
         if not math.isfinite(self.hbar) or self.hbar < 0:
             raise ParameterOutOfRange(f"hbar must be finite and >= 0, got {self.hbar}")
+        if self.rest_energy == 0:
+            raise ParameterOutOfRange(f"m c^2 underflows to 0 at m = {self.m}, c = {self.c}")
         object.__setattr__(self, "omega0", math.sqrt(self.k / self.m))
 
     @property
@@ -130,13 +132,15 @@ class OscillatorParams:
 class EnergyPoint:
     """Mechanical energy above rest energy, with its dimensionless ratio.
 
-    epsilon = e_tilde / (m c^2) exactly; weak_warn flags points beyond the
-    soft trust limit of the first-order relativistic expansions.
+    epsilon = e_tilde / (m c^2) exactly; e_tilde must be finite and > 0.
     """
 
     e_tilde: float
     epsilon: float
-    weak_warn: bool
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.e_tilde < math.inf:
+            raise ParameterOutOfRange(f"e_tilde must be finite and > 0, got {self.e_tilde}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,7 @@ def natural_params(c: float = 10.0, hbar: float = 1.0) -> OscillatorParams:
 
 def energy_point(params: OscillatorParams, e_tilde: float) -> EnergyPoint:
     """Attach epsilon = e_tilde/(m c^2) to a mechanical energy."""
-    if not math.isfinite(e_tilde) or e_tilde <= 0:
-        raise ParameterOutOfRange(f"e_tilde must be finite and > 0, got {e_tilde}")
-    eps = e_tilde / params.rest_energy
-    return EnergyPoint(e_tilde=e_tilde, epsilon=eps, weak_warn=eps > EPSILON_SOFT_LIMIT)
+    return EnergyPoint(e_tilde=e_tilde, epsilon=e_tilde / params.rest_energy)
 
 
 def require_weak_regime(ep: EnergyPoint, where: str) -> None:

@@ -22,7 +22,6 @@ from .core import OrderInsufficient, ParameterOutOfRange
 __all__ = [
     "LaurentSeries",
     "binomial_sqrt",
-    "binomial_series",
     "DEFAULT_EXTRA_ORDERS",
 ]
 
@@ -166,8 +165,8 @@ def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(out, lo)
 
 
-def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries:
-    """(1 - u)**alpha as sum_j binom(alpha, j) (-u)**j, j = 0..order.
+def binomial_sqrt(u: LaurentSeries, order: int) -> LaurentSeries:
+    """sqrt(1 - u) as sum_j binom(1/2, j) (-u)**j, j = 0..order.
 
     u must vanish at x = infinity: every stored power strictly negative.
     The omitted tail u**(order+1) sets the trusted bound of the result.
@@ -177,15 +176,15 @@ def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries
     top = u.max_power
     if top is not None and top >= 0:
         raise ParameterOutOfRange(
-            f"u has a term in x^{top}; (1-u)^alpha about infinity needs u -> 0"
+            f"u has a term in x^{top}; sqrt(1-u) about infinity needs u -> 0"
         )
 
     one = LaurentSeries.term(0, 1.0)
     result = one
     u_pow = one
-    coeff = 1.0  # binom(alpha, j) * (-1)^j
+    coeff = 1.0  # binom(1/2, j) * (-1)^j
     for j in range(1, order + 1):
-        coeff *= -(alpha - (j - 1)) / j
+        coeff *= -(0.5 - (j - 1)) / j
         u_pow = u_pow * u
         result = result + u_pow.scaled(coeff)
 
@@ -193,8 +192,3 @@ def binomial_series(u: LaurentSeries, alpha: float, order: int) -> LaurentSeries
         return result
     # Tail bound from the first omitted power of u.
     return result.truncated((order + 1) * top + 1)
-
-
-def binomial_sqrt(u: LaurentSeries, order: int) -> LaurentSeries:
-    """sqrt(1 - u) expanded to the given order in u."""
-    return binomial_series(u, 0.5, order)

@@ -23,7 +23,7 @@ from .core import (
     SchemeTag,
     SpectrumEntry,
 )
-from .rootfind import bracketed_root, expand_bracket
+from .rootfind import increasing_root
 
 __all__ = [
     "HamiltonianKind",
@@ -54,7 +54,7 @@ class HamiltonianSpec:
       WEAK_REL    H = p^2/2m - p^4/8m^3c^2 + k x^2/2
       FULL_REL    H = sqrt(p^2 c^2 + m^2 c^4) + k x^2/2   (energy above rest)
       QUARTIC_AHO H = p^2/2m + k x^2/2 + delta x^4
-    delta is meaningful only for QUARTIC_AHO.
+    delta is meaningful only for QUARTIC_AHO, and must be finite.
     """
 
     kind: HamiltonianKind
@@ -62,6 +62,8 @@ class HamiltonianSpec:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.delta):
+            raise ParameterOutOfRange(f"delta must be finite, got {self.delta}")
         if self.delta != 0.0 and self.kind is not HamiltonianKind.QUARTIC_AHO:
             raise ParameterOutOfRange("delta is only meaningful for the quartic oscillator")
 
@@ -108,9 +110,13 @@ class HamiltonianSpec:
         return velocity, force
 
     def turning_point(self, e_tilde: float) -> float:
-        """Positive turning point x2 with V(x2) = e_tilde."""
+        """Positive turning point x2 with V(x2) = e_tilde; WEAK_REL needs e_tilde < m c^2/2."""
         if not 0.0 < e_tilde < math.inf:
             raise ParameterOutOfRange(f"e_tilde must be finite and > 0, got {e_tilde}")
+        if self.kind is HamiltonianKind.WEAK_REL and e_tilde >= 0.5 * self.params.rest_energy:
+            raise ParameterOutOfRange(
+                f"e_tilde = {e_tilde} >= m c^2 / 2: the weak-relativistic orbit does not close"
+            )
         k = self.params.k
         if self.kind is HamiltonianKind.QUARTIC_AHO:
             disc = k * k / 4 + 4 * self.delta * e_tilde
@@ -285,24 +291,23 @@ def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
     return h
 
 
-def jacobi_eigenvalues(
-    mat: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
-) -> np.ndarray:
+_MAX_SWEEPS = 60
+
+
+def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by threshold cyclic Jacobi.
 
     Sweeps rotate away each off-diagonal pair in turn until the
-    off-diagonal Frobenius norm drops below tol times the diagonal scale.
+    off-diagonal Frobenius norm drops below 1e-12 times the diagonal scale.
     """
-    if max_sweeps < 1:
-        raise ParameterOutOfRange(f"max_sweeps must be >= 1, got {max_sweeps}")
     a = np.array(mat, dtype=float, copy=True)
     n = a.shape[0]
     if n == 1:
         return a[0, :1].copy()
     scale = max(1.0, float(np.abs(np.diag(a)).max()))
-    target = tol * scale
+    target = 1e-12 * scale
     skip = target / n
-    for _sweep in range(max_sweeps):
+    for _sweep in range(_MAX_SWEEPS):
         off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
         if off <= target:
             return np.sort(np.diag(a).copy())
@@ -328,14 +333,14 @@ def jacobi_eigenvalues(
                 a[:, q] = sth * cp + cth * cq
                 a[p, q] = a[q, p] = 0.0
     raise NotConverged(
-        f"off-diagonal norm {off:.3g} still above {target:.3g} after {max_sweeps} sweeps"
+        f"off-diagonal norm {off:.3g} still above {target:.3g} after {_MAX_SWEEPS} sweeps"
     )
 
 
 def diagonalize(
     spec: HamiltonianSpec,
     basis_size: int,
-    n_levels: int | None = None,
+    n_levels: int,
     certify: bool = True,
     max_basis: int = 1024,
 ) -> np.ndarray:
@@ -345,8 +350,8 @@ def diagonalize(
     levels move by less than 1e-10 relative; the certified values are
     returned.
     """
-    if n_levels is None:
-        n_levels = max(1, basis_size // 4)
+    if n_levels < 1:
+        raise ParameterOutOfRange(f"n_levels must be >= 1, got {n_levels}")
     if basis_size < 4 * n_levels:
         raise ParameterOutOfRange(
             f"basis_size = {basis_size} < 4 * n_levels = {4 * n_levels}"
@@ -414,8 +419,7 @@ def jwkb_levels_wr(params: OscillatorParams, n: int) -> SpectrumEntry:
         return (e / w0) * (1.0 + 3.0 * e / (16.0 * mc2)) - target
 
     e0 = (n + 0.5) * hbar * w0
-    lo, hi = expand_bracket(f, 0.5 * e0, 1.5 * e0)
-    energy = bracketed_root(f, lo, hi, f_tol=1e-14 * max(target, 1.0))
+    energy = increasing_root(f, 0.5 * e0, 1.5 * e0, f_tol=1e-14 * max(target, 1.0))
     return SpectrumEntry(
         n=n, energy=energy, scheme=SchemeTag.JWKB_WR, correction=energy - e0
     )

@@ -30,7 +30,7 @@ from .core import (
     require_weak_regime,
 )
 from .laurent import DEFAULT_EXTRA_ORDERS, LaurentSeries
-from .rootfind import bracketed_root, expand_bracket
+from .rootfind import increasing_root
 
 __all__ = [
     "RiccatiSolution",
@@ -65,7 +65,6 @@ class RiccatiSolution:
     """
 
     coefficients: LaurentSeries
-    form: str  # "pdx" | "xdp"
     residual_norm: float
 
 
@@ -115,8 +114,7 @@ def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     p = sum b_j x^(3-2j); b1 = +i sqrt(mk) fixes the physical branch and
     b2 = -i sqrt(m/k) E + i hbar / 2.
     """
-    if e <= 0:
-        raise ParameterOutOfRange(f"e must be > 0, got {e}")
+    energy_point(params, e)
     if order < 2:
         raise OrderInsufficient(f"order must be >= 2, got {order}")
     m, k, hbar = params.m, params.k, params.hbar
@@ -125,7 +123,6 @@ def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     rhs = LaurentSeries({2: -m * k, 0: 2.0 * m * e})
     return RiccatiSolution(
         coefficients=series,
-        form="pdx",
         residual_norm=_residual_norm(series, hbar, rhs),
     )
 
@@ -137,8 +134,7 @@ def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     x = sum b'_j p^(3-2j); b'1 = -i / sqrt(mk) and
     b'2 = -i (hbar/2 - E/omega0).
     """
-    if e <= 0:
-        raise ParameterOutOfRange(f"e must be > 0, got {e}")
+    energy_point(params, e)
     if order < 2:
         raise OrderInsufficient(f"order must be >= 2, got {order}")
     m, k, hbar = params.m, params.k, params.hbar
@@ -147,7 +143,6 @@ def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     rhs = LaurentSeries({2: -1.0 / (m * k), 0: 2.0 * e / k})
     return RiccatiSolution(
         coefficients=series,
-        form="xdp",
         residual_norm=_residual_norm(series, -hbar, rhs),
     )
 
@@ -189,8 +184,6 @@ def _solve_correction_layer(
     OrderInsufficient.
     """
     b1 = p0.coefficient(1)
-    if b1 == 0:
-        raise ParameterOutOfRange("correction layer needs a nonzero leading coefficient")
     u: list[complex] = []
     for l in range(n_coeffs):
         acc = rhs.coefficient(4 - 2 * l)
@@ -253,8 +246,6 @@ def wr_correction_pdx(params: OscillatorParams, ep: EnergyPoint) -> tuple[float,
     opposite slots).
     """
     require_weak_regime(ep, "wr_correction_pdx")
-    if ep.e_tilde <= 0:
-        raise ParameterOutOfRange(f"e_tilde must be > 0, got {ep.e_tilde}")
     return 1.0, 1.0 + 7.0 * params.hbar * params.omega0 / (4.0 * ep.e_tilde)
 
 
@@ -279,8 +270,8 @@ def wr_correction_derived(
     return _real(big_b0), _real(big_b1)
 
 
-def _real(z: complex, tol: float = 1e-9) -> float:
-    if abs(z.imag) > tol * max(abs(z.real), 1.0):
+def _real(z: complex) -> float:
+    if abs(z.imag) > 1e-9 * max(abs(z.real), 1.0):
         raise OrderInsufficient(f"expected a real value, got {z}")
     return z.real
 
@@ -363,10 +354,7 @@ def invert_action(j_of_e, n: int, params: OscillatorParams) -> float:
         return j_of_e(e) - target
 
     e0 = (n + 0.5) * hbar * params.omega0
-    lo, hi = expand_bracket(f, 0.5 * e0, 1.5 * e0)
-    if lo == hi:
-        return lo
-    return bracketed_root(f, lo, hi, f_tol=1e-12 * max(hbar, 1e-30), require_increasing=True)
+    return increasing_root(f, 0.5 * e0, 1.5 * e0, f_tol=1e-12 * max(hbar, 1e-30))
 
 
 def _flag_large_correction(correction: float, n: int, params: OscillatorParams, where: str) -> None:
@@ -442,8 +430,7 @@ def aho_coeffs(
     D0 = 1, D1 = 1 + lam, D2 = 1 - (3/2) lam + 2 lam^2 with
     lam = hbar omega0 / (4 e).
     """
-    if e <= 0:
-        raise ParameterOutOfRange(f"e must be > 0, got {e}")
+    energy_point(params, e)
     _aho_smallness_check(params, e, delta)
     lam = params.hbar * params.omega0 / (4.0 * e)
     return 1.0, 1.0 + lam, 1.0 - 1.5 * lam + 2.0 * lam * lam, lam
@@ -458,8 +445,7 @@ def aho_coeffs_derived(
     coefficients u_l determine the D_l through
     u_l = (1/k) sum_{j + l' = l + 1} b_j D_l' t^l' with t = x2^2.
     """
-    if e <= 0:
-        raise ParameterOutOfRange(f"e must be > 0, got {e}")
+    energy_point(params, e)
     p0, u = _aho_correction_layer(params, e)
     k = params.k
     t = 2.0 * e / k
@@ -477,10 +463,8 @@ def quantum_action_aho(params: OscillatorParams, e: float, delta: float) -> Acti
     J = e/omega0 - hbar/2 - (3 delta / 32 m^2 omega0^3)(4 hbar^2 +
     16 e^2/omega0^2), the hbar-safe rewriting of the lambda form.
     """
-    if e <= 0:
-        raise ParameterOutOfRange(f"e must be > 0, got {e}")
-    _aho_smallness_check(params, e, delta)
     ep = energy_point(params, e)
+    _aho_smallness_check(params, e, delta)
     m, w0, hbar = params.m, params.omega0, params.hbar
     j = (
         e / w0
@@ -496,8 +480,6 @@ def quantum_action_aho_residue(
     params: OscillatorParams, e: float, delta: float
 ) -> ActionResult:
     """Anharmonic action assembled from the x^(-1) residue b2 + delta u_2."""
-    if e <= 0:
-        raise ParameterOutOfRange(f"e must be > 0, got {e}")
     ep = energy_point(params, e)
     p0, u = _aho_correction_layer(params, e)
     j = _real(1j * (p0.coefficient(-1) + delta * u[2]))

@@ -161,7 +161,7 @@ class TestActionQuadrature:
         # values of the node-by-node quadrature this one replaced, at m = k = 1, c = 10
         p = make_params(1.0, 1.0, 10.0, 1.0)
         spec = HamiltonianSpec(kind, p, delta=delta)
-        assert action_quadrature(spec, eps * p.rest_energy) == pytest.approx(j, rel=1e-14)
+        assert action_quadrature(spec, eps * p.rest_energy) == pytest.approx(j, rel=1e-14, abs=0.0)
 
 
 class TestActionWrPdx:
@@ -257,7 +257,7 @@ class TestActionWrResidue:
     def test_pinned_where_terms_spread_past_1e12(self):
         p = make_params(1.0, 1.0, 10.0, 1.0)
         ep = energy_point(p, 45.0)
-        assert ep.epsilon == pytest.approx(0.45, rel=1e-15)
+        assert ep.epsilon == pytest.approx(0.45, rel=1e-15, abs=0.0)
         with pytest.warns(WeakRegimeWarning):
             j = action_wr_residue(p, ep).j_value
         assert j == pytest.approx(48.796875, rel=1e-12)

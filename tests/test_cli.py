@@ -207,6 +207,16 @@ class TestLevels:
             f"actionvar: warning: {flag} does not apply to scheme {argv[1]!r} and is ignored"
         ]
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_nonfinite_delta_exits_one_before_solving(self, capsys, monkeypatch, delta):
+        def no_solve(*args):
+            raise AssertionError("the spectral oracle ran")
+
+        monkeypatch.setattr(oracles, "jacobi_eigenvalues", no_solve)
+        code, out, err = run(capsys, "levels", "--scheme", "aho", "--nmax", "2", "--delta", delta)
+        assert code == 1 and out == ""
+        assert err == f"actionvar: error: delta must be finite, got {delta}\n"
+
     def test_applicable_flags_do_not_warn(self, capsys):
         _, _, err = run(capsys, "levels", "--scheme", "rs", "--nmax", "1", "--ratio", "1e-3")
         assert err == ""

@@ -1,15 +1,18 @@
 """Parameter bundles, energy points, the error taxonomy and the imports."""
 
 import ast
+import importlib
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
+import actionvar
 from actionvar import core
 from actionvar.core import (
     EPSILON_HARD_LIMIT,
+    EnergyPoint,
     ParameterOutOfRange,
     SchemeTag,
     WeakRegimeWarning,
@@ -44,6 +47,11 @@ class TestMakeParams:
         with pytest.raises(ParameterOutOfRange, match="m must be finite and > 0, got inf"):
             make_params(math.inf, 1, 1, 1)
 
+    def test_rest_energy_underflow_refused(self):
+        # m c^2 = 1e-400 rounds to 0, and every energy ratio would divide by it
+        with pytest.raises(ParameterOutOfRange, match="m c\\^2 underflows to 0"):
+            make_params(1e-200, 1.0, 1e-100, 1.0)
+
     def test_level_ratio(self):
         p = make_params(1.0, 1.0, 10.0, 1.0)
         assert p.level_ratio == pytest.approx(0.01)
@@ -66,17 +74,19 @@ class TestEnergyPoint:
         for s in (0.5, 3.0, 7.25):
             assert energy_point(p, 2.0 * s).epsilon == pytest.approx(s * base)
 
-    def test_warn_flag_set_above_soft_limit(self):
-        p = make_params(1.0, 1.0, 1.0, 1.0)
-        assert energy_point(p, 0.6).weak_warn
-        assert not energy_point(p, 0.05).weak_warn
-
     def test_rejects_nonpositive_energy(self):
         p = natural_params()
         with pytest.raises(ParameterOutOfRange, match="e_tilde must be finite and > 0, got 0.0"):
             energy_point(p, 0.0)
         with pytest.raises(ParameterOutOfRange, match="e_tilde must be finite and > 0, got -1.0"):
             energy_point(p, -1.0)
+
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_energy(self, e):
+        with pytest.raises(ParameterOutOfRange, match=f"e_tilde must be finite and > 0, got {e}"):
+            energy_point(natural_params(), e)
+        with pytest.raises(ParameterOutOfRange, match=f"e_tilde must be finite and > 0, got {e}"):
+            EnergyPoint(e_tilde=e, epsilon=0.01)
 
 
 class TestWeakRegimeGate:
@@ -135,6 +145,15 @@ class TestErrorTaxonomy:
         for name in sorted(self.ERRORS):
             assert f"raise {name}(" in src, f"{name} is never raised"
             assert f"pytest.raises({name}" in tests, f"no test asserts {name} by name"
+
+
+@pytest.mark.parametrize(
+    "module", ["__init__", *sorted(p.stem for p in Path(actionvar.__file__).parent.glob("[!_]*.py"))]
+)
+def test_every_exported_name_resolves(module):
+    mod = actionvar if module == "__init__" else importlib.import_module(f"actionvar.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{mod.__name__}.__all__ names {missing}, which it does not define"
 
 
 def test_runtime_imports_are_stdlib_numpy_or_own():

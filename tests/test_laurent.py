@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from actionvar.core import OrderInsufficient, ParameterOutOfRange
 from actionvar.laurent import (
     LaurentSeries,
-    binomial_series,
     binomial_sqrt,
 )
 
@@ -135,14 +134,7 @@ class TestBinomial:
 
     def test_negative_order_refused(self):
         with pytest.raises(OrderInsufficient):
-            binomial_series(LaurentSeries.term(-2, 1.0), 0.5, -1)
-
-    def test_inverse_power_alpha(self):
-        # (1 - u)^(-1) is the geometric series
-        u = LaurentSeries.term(-1, 0.5)
-        s = binomial_series(u, -1.0, 5)
-        for j in range(6):
-            assert s[-j] == pytest.approx(0.5**j)
+            binomial_sqrt(LaurentSeries.term(-2, 1.0), -1)
 
     @given(coeff=st.floats(min_value=0.1, max_value=2.0), power=st.integers(-4, -1))
     @settings(max_examples=30, deadline=None)

@@ -68,6 +68,19 @@ class TestHamiltonianSpec:
         with pytest.raises(ParameterOutOfRange):
             HamiltonianSpec(HamiltonianKind.SHO, natural_params(), delta=0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_delta_refused(self, delta):
+        with pytest.raises(ParameterOutOfRange, match=f"delta must be finite, got {delta}"):
+            HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, natural_params(), delta=delta)
+
+    @pytest.mark.parametrize("oracle", [rk4_period, action_quadrature], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("e", [50.0, 50.0000001, 60.0])
+    def test_weakrel_oracles_refuse_half_rest_energy_and_above(self, oracle, e):
+        # m c^2 / 2 = 50: the kinetic energy peaks there, so the orbit does not close
+        spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, _P10)
+        with pytest.raises(ParameterOutOfRange, match=f"e_tilde = {e} >= m c\\^2 / 2"):
+            oracle(spec, e)
+
     def test_energy_is_conserved_quantity(self):
         spec = wr_spec(1e-2)
         e = spec.energy(0.7, spec.momentum(0.7, 1.0))
@@ -199,7 +212,7 @@ class TestDiagonalize:
     def test_fullrel_rejected(self):
         spec = HamiltonianSpec(HamiltonianKind.FULL_REL, natural_params(c=10.0))
         with pytest.raises(ParameterOutOfRange, match="no finite ladder-band representation"):
-            diagonalize(spec, 32)
+            diagonalize(spec, 32, n_levels=8)
 
     def test_basis_precondition(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
@@ -238,9 +251,13 @@ class TestDiagonalize:
         ref = np.sort(np.linalg.eigvalsh(a))
         assert np.max(np.abs(mine - ref)) < 1e-10
 
-    def test_jacobi_refuses_zero_sweeps(self):
-        with pytest.raises(ParameterOutOfRange, match="max_sweeps must be >= 1, got 0"):
-            jacobi_eigenvalues(np.eye(3), max_sweeps=0)
+    @pytest.mark.parametrize(
+        "basis_size, n_levels", [(32, 0), (-4, -1)], ids=["no-levels", "negative-basis"]
+    )
+    def test_level_count_below_one_refused(self, basis_size, n_levels):
+        spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
+        with pytest.raises(ParameterOutOfRange, match=f"n_levels must be >= 1, got {n_levels}"):
+            diagonalize(spec, basis_size, n_levels=n_levels)
 
 
 class TestRsShift:

@@ -23,7 +23,6 @@ from actionvar.core import (
 from actionvar.laurent import binomial_sqrt, LaurentSeries
 from actionvar.quantum import (
     _real,
-    _solve_correction_layer,
     aho_coeffs,
     aho_coeffs_derived,
     eigenvalues_aho,
@@ -91,11 +90,6 @@ class TestRiccatiPdx:
         with pytest.raises(ParameterOutOfRange, match="leading coefficient vanished"):
             riccati_pdx(make_params(1e-200, 1e-200, 10.0, 1.0), 1.0)
 
-    def test_correction_layer_refuses_a_vanishing_lead(self):
-        p0 = LaurentSeries({-1: 1.0j})  # no x^1 term
-        with pytest.raises(ParameterOutOfRange, match="correction layer needs a nonzero leading"):
-            _solve_correction_layer(p0, LaurentSeries({}), 1.0, 2)
-
     def test_complex_value_refused_as_untrusted(self):
         assert _real(2.0 + 1e-12j) == 2.0
         with pytest.raises(OrderInsufficient, match="expected a real value, got"):
@@ -131,7 +125,7 @@ class TestRiccatiPdx:
         assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ParameterOutOfRange, match="e must be > 0, got -1.0"):
+        with pytest.raises(ParameterOutOfRange, match="e_tilde must be finite and > 0, got -1.0"):
             riccati_pdx(natural_params(), -1.0)
 
     @pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(11, 2), 20, 100])
@@ -172,7 +166,7 @@ class TestQuantumActionSho:
         for e in (0.5, 1.0, 2.2, 9.0):
             a = quantum_action_sho(p, e, "pdx").j_value
             b = quantum_action_sho(p, e, "xdp").j_value
-            assert a == pytest.approx(b, rel=1e-14)
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
     def test_classical_limit(self):
         p = make_params(1.0, 1.0, 10.0, 0.0)
@@ -484,3 +478,28 @@ class TestEigenvaluesAho:
     def test_negative_delta_lowers_levels(self):
         p = natural_params()
         assert eigenvalues_aho(p, -1e-4, 2).correction < 0
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "routine",
+    [
+        riccati_pdx,
+        riccati_xdp,
+        lambda p, e: aho_coeffs(p, e, 1e-4),
+        lambda p, e: aho_coeffs_derived(p, e, 1e-4),
+        lambda p, e: quantum_action_aho(p, e, 1e-4),
+        lambda p, e: quantum_action_aho_residue(p, e, 1e-4),
+    ],
+    ids=[
+        "riccati_pdx",
+        "riccati_xdp",
+        "aho_coeffs",
+        "aho_coeffs_derived",
+        "quantum_action_aho",
+        "quantum_action_aho_residue",
+    ],
+)
+def test_energy_not_finite_and_positive_refused(routine, e):
+    with pytest.raises(ParameterOutOfRange, match=f"e_tilde must be finite and > 0, got {e}"):
+        routine(natural_params(), e)
