@@ -98,13 +98,13 @@ class HamiltonianSpec:
             velocity = lambda p: p * c * c / math.sqrt(p * p * c * c + rest_sq)
         elif self.kind is HamiltonianKind.WEAK_REL:
             quartic = 2 * m**3 * c * c
-            velocity = lambda p: p / m - p**3 / quartic
+            velocity = lambda p: p / m - p * p * p / quartic
         else:
             velocity = lambda p: p / m
         minus_k = -k
         if self.kind is HamiltonianKind.QUARTIC_AHO:
             cubic = 4 * self.delta
-            force = lambda x: minus_k * x - cubic * x**3
+            force = lambda x: minus_k * x - cubic * x * x * x
         else:
             force = lambda x: minus_k * x
         return velocity, force
@@ -169,7 +169,9 @@ def _hermite_crossing(
 ) -> float:
     """Zero of the cubic Hermite interpolant of p on [t0, t0+dt].
 
-    Assumes p0 < 0 <= p1 (an up-crossing somewhere inside the step).
+    Assumes p0 < 0 <= p1 (an up-crossing somewhere inside the step); a
+    caller with a down-crossing passes the negated values, whose
+    interpolant has the same zero.
     """
 
     def h(s: float) -> float:
@@ -198,12 +200,14 @@ _MAX_STEPS = 8 * 2000 * 2**6
 def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -> float:
     """Orbital period by direct integration of Hamilton's equations.
 
-    Starts at the turning point (x2, 0); the period is the gap between the
-    first two zero-up-crossings of p(t), each refined by inverse cubic
-    Hermite interpolation.  Runs with relative energy drift above 1e-9 are
-    rejected and retried with a halved step, up to 6 times.  dt must be
-    finite and positive, and no attempt may integrate for more than
-    1,024,000 steps, the number the default dt reaches after 6 halvings.
+    Starts at the turning point (x2, 0), where p(t) crosses zero downwards
+    exactly at t = 0, and integrates one period, to the next down-crossing
+    of p; that crossing is refined by inverse cubic Hermite interpolation
+    and its time is the period.  Runs with relative energy drift above
+    1e-9 are rejected and retried with a halved step, up to 6 times.  dt
+    must be finite and positive, and no attempt may integrate for more
+    than 1,024,000 steps, the number the default dt reaches after 6
+    halvings.
     """
     t0_guess = 2 * math.pi / spec.params.omega0
     t_max = 8.0 * t0_guess
@@ -220,7 +224,6 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
 
     velocity, force = spec.flow()
     for halvings in range(7):
-        crossings: list[float] = []
         x, p = x2, 0.0
         t = 0.0
         half = 0.5 * dt
@@ -228,7 +231,7 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
         # the start slope of the Hermite refinement; each step's end force
         # becomes the next step's f
         f = force(x)
-        while t < t_max and len(crossings) < 2:
+        while t < t_max:
             k1x = velocity(p)
             k2x = velocity(p + half * f)
             k2p = force(x + half * k1x)
@@ -239,17 +242,14 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
             xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
             pn = p + dt * (f + 2 * k2p + 2 * k3p + k4p) / 6
             f_next = force(xn)
-            if p < 0.0 <= pn:
-                crossings.append(_hermite_crossing(t, dt, p, pn, f, f_next))
+            if p > 0.0 >= pn:
+                break
             x, p, t, f = xn, pn, t + dt, f_next
-        if len(crossings) < 2:
-            raise NotConverged(
-                f"fewer than two momentum up-crossings within t = {t_max:.4g}"
-            )
-        drift = abs(spec.energy(x, p) - e_tilde) / e_tilde
+        else:
+            raise NotConverged(f"no momentum down-crossing after t = 0 within t = {t_max:.4g}")
+        drift = abs(spec.energy(xn, pn) - e_tilde) / e_tilde
         if drift <= 1e-9:
-            period = crossings[1] - crossings[0]
-            return period
+            return _hermite_crossing(t, dt, -p, -pn, -f, -f_next)
         if halvings == 6 or 0.5 * dt < min_dt:
             break
         dt *= 0.5

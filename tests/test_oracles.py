@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionvar.classical import action_fullrel, action_quadrature, frequency_from_action
 from actionvar.core import (
@@ -41,6 +43,21 @@ PINNED_SPECS = [
     HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, _P10, delta=1e-3),
     HamiltonianSpec(HamiltonianKind.SHO, _P10),
 ]
+# periods of PINNED_SPECS at e = 20: the closed-loop integral of dx / v,
+# evaluated offline to 20 digits with mpmath; the SHO period is exact
+REFERENCE_PERIODS = [
+    6.8987172720087311052,
+    6.7405009206464092236,
+    5.9604696306309135651,
+    2.0 * math.pi,
+]
+
+
+def _assert_period_matches_action_derivative(spec: HamiltonianSpec, e: float) -> None:
+    """The trajectory period agrees with 2 pi / (dE/dJ) of the quadrature action."""
+    t = rk4_period(spec, e)
+    w = frequency_from_action(lambda energy: action_quadrature(spec, energy), e)
+    assert abs(t - 2.0 * math.pi / w) <= 1e-8 * t
 
 
 class TestHamiltonianSpec:
@@ -124,7 +141,7 @@ class TestRk4Period:
     def test_sho_isochronous(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
         for e in (0.5, 1.0, 5.0):
-            assert abs(rk4_period(spec, e) - 2.0 * math.pi) < 1e-8
+            assert abs(rk4_period(spec, e) - 2.0 * math.pi) < 1e-11
 
     def test_weakrel_prediction(self):
         spec = wr_spec(1e-2)
@@ -134,20 +151,70 @@ class TestRk4Period:
 
     def test_fullrel_against_quadrature_derivative(self):
         p = natural_params(c=10.0)  # eps = 0.05 at e = 5
-        spec = HamiltonianSpec(HamiltonianKind.FULL_REL, p)
-        t = rk4_period(spec, 5.0)
-        w = frequency_from_action(lambda e: action_quadrature(spec, e), 5.0)
-        assert abs(t - 2.0 * math.pi / w) / t < 1e-5
+        _assert_period_matches_action_derivative(HamiltonianSpec(HamiltonianKind.FULL_REL, p), 5.0)
 
     @pytest.mark.parametrize(
         "spec, period",
-        zip(PINNED_SPECS, [6.898717272011616, 6.740500920649369, 5.960469630637499, 6.283185307184297]),
+        zip(PINNED_SPECS, REFERENCE_PERIODS),
+        ids=lambda v: v.kind.value if isinstance(v, HamiltonianSpec) else "",
+    )
+    def test_period_meets_reference(self, spec, period):
+        assert abs(rk4_period(spec, 0.2 * _P10.rest_energy) - period) < 2e-12 * period
+
+    @pytest.mark.parametrize(
+        "spec, period",
+        zip(PINNED_SPECS, [6.898717272011763, 6.740500920649516, 5.960469630637633, 6.283185307184436]),
         ids=lambda v: v.kind.value if isinstance(v, HamiltonianSpec) else "",
     )
     def test_period_is_pinned_bit_for_bit(self, spec, period):
-        # values of the step-by-step RK4 loop this one replaced; the stage
-        # expressions keep their evaluation order, so they agree exactly
+        # values of the one-period loop; a refactor that keeps the stage
+        # expressions and their evaluation order reproduces them exactly
         assert rk4_period(spec, 0.2 * _P10.rest_energy) == period
+
+    def test_one_period_of_force_calls_per_attempt(self):
+        calls = [0]
+
+        class Counting(HamiltonianSpec):
+            def flow(self):
+                velocity, force = super().flow()
+
+                def counted(x):
+                    calls[0] += 1
+                    return force(x)
+
+                return velocity, counted
+
+        spec = Counting(HamiltonianKind.SHO, _P10)
+        period = rk4_period(spec, 20.0)
+        dt = 2.0 * math.pi / 2000.0
+        # one force call to start, then four per step: three RK4 stages
+        # and the end-of-step force that the next step reuses
+        assert calls[0] <= 4 * (period / dt + 2) + 1
+
+    def test_no_return_to_the_turning_point_raises(self):
+        class Frozen(HamiltonianSpec):
+            def flow(self):
+                velocity, _ = super().flow()
+                return velocity, lambda x: 0.0
+
+        spec = Frozen(HamiltonianKind.SHO, natural_params())
+        with pytest.raises(NotConverged, match="no momentum down-crossing after t = 0 within t = 50.27"):
+            rk4_period(spec, 1.0)
+
+    @pytest.mark.parametrize(
+        "kind", [HamiltonianKind.WEAK_REL, HamiltonianKind.FULL_REL], ids=lambda k: k.value
+    )
+    @given(eps=st.floats(min_value=0.01, max_value=0.49))
+    @settings(max_examples=25, deadline=None)
+    def test_relativistic_period_matches_action_derivative(self, kind, eps):
+        spec = HamiltonianSpec(kind, _P10)
+        _assert_period_matches_action_derivative(spec, eps * _P10.rest_energy)
+
+    @given(delta=st.floats(min_value=-1e-3, max_value=1e-3), e=st.floats(min_value=0.5, max_value=50.0))
+    @settings(max_examples=25, deadline=None)
+    def test_quartic_period_matches_action_derivative(self, delta, e):
+        spec = HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, _P10, delta=delta)
+        _assert_period_matches_action_derivative(spec, e)
 
     def test_fourth_order_convergence(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
