@@ -209,9 +209,11 @@ def action_wr_residue(params: OscillatorParams, ep: EnergyPoint) -> ActionResult
 
 # Tabulated series for the fully relativistic action.  Row "pdx" is in
 # powers of s = eps/(2+eps); row "xdp" in powers of eps; both carry the
-# common prefactor sqrt(1 + eps/2).
+# common prefactor sqrt(1 + eps/2).  Row "xdp" is the expansion of
+# (2/pi) int_0^pi cos^2(theta) sqrt(1 + (eps/2) cos^2(theta)) dtheta
+# divided by that prefactor.
 _FULLREL_PDX_COEFFS = (1.0, -1.0 / 8.0, -1.0 / 64.0)
-_FULLREL_XDP_COEFFS = (1.0, -1.0 / 16.0, 7.0 / 256.0, 1.0 / 128.0)
+_FULLREL_XDP_COEFFS = (1.0, -1.0 / 16.0, 7.0 / 256.0, -101.0 / 8192.0)
 
 
 def action_fullrel(

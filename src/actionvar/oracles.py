@@ -169,9 +169,7 @@ def _hermite_crossing(
 ) -> float:
     """Zero of the cubic Hermite interpolant of p on [t0, t0+dt].
 
-    Assumes p0 < 0 <= p1 (an up-crossing somewhere inside the step); a
-    caller with a down-crossing passes the negated values, whose
-    interpolant has the same zero.
+    Assumes p0 < 0 <= p1 (an up-crossing somewhere inside the step).
     """
 
     def h(s: float) -> float:
@@ -193,7 +191,8 @@ def _hermite_crossing(
     return t0 + 0.5 * (a + b) * dt
 
 
-# steps per rk4_period attempt: 8 periods at the default dt after its 6 halvings
+# steps per rk4_period attempt: t_max (8 harmonic periods) at the default dt
+# after its 6 halvings; a half orbit normally takes a sixteenth of that
 _MAX_STEPS = 8 * 2000 * 2**6
 
 
@@ -201,9 +200,14 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
     """Orbital period by direct integration of Hamilton's equations.
 
     Starts at the turning point (x2, 0), where p(t) crosses zero downwards
-    exactly at t = 0, and integrates one period, to the next down-crossing
-    of p; that crossing is refined by inverse cubic Hermite interpolation
-    and its time is the period.  Runs with relative energy drift above
+    exactly at t = 0, and integrates half an orbit, to the first
+    up-crossing of p at the opposite turning point; that crossing is
+    refined by inverse cubic Hermite interpolation and the period is
+    twice its time.  For any H even in p, the time-reversal map
+    (x, p, t) -> (x, -p, -t) carries the outbound half of the orbit onto
+    the return half, so the two halves take equal times; V need not be
+    even in x (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+    2nd ed. (2006), section V.1).  Runs with relative energy drift above
     1e-9 are rejected and retried with a halved step, up to 6 times.  dt
     must be finite and positive, and no attempt may integrate for more
     than 1,024,000 steps, the number the default dt reaches after 6
@@ -242,14 +246,14 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
             xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
             pn = p + dt * (f + 2 * k2p + 2 * k3p + k4p) / 6
             f_next = force(xn)
-            if p > 0.0 >= pn:
+            if p < 0.0 <= pn:
                 break
             x, p, t, f = xn, pn, t + dt, f_next
         else:
-            raise NotConverged(f"no momentum down-crossing after t = 0 within t = {t_max:.4g}")
+            raise NotConverged(f"no momentum up-crossing after t = 0 within t = {t_max:.4g}")
         drift = abs(spec.energy(xn, pn) - e_tilde) / e_tilde
         if drift <= 1e-9:
-            return _hermite_crossing(t, dt, -p, -pn, -f, -f_next)
+            return 2.0 * _hermite_crossing(t, dt, p, pn, f, f_next)
         if halvings == 6 or 0.5 * dt < min_dt:
             break
         dt *= 0.5

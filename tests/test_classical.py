@@ -1,6 +1,7 @@
 """Classical actions: series forms, quadrature cross-checks, frequencies."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,9 +275,37 @@ class TestActionFullrel:
         j1 = action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX).j_value
         j2 = action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP).j_value
         assert j1 == pytest.approx(1.018559, abs=2e-6)
-        assert j2 == pytest.approx(1.018579, abs=2e-6)
+        assert j2 == pytest.approx(1.018558, abs=2e-6)
         # rows agree within the first omitted term magnitude
         assert abs(j1 - j2) < 5e-4
+
+    def test_xdp_row_is_the_cos_moment_expansion(self):
+        # J / (e sqrt(1 + eps/2)) = (2/pi) int_0^pi cos^2 sqrt(1 + (eps/2) cos^2) dtheta
+        # / sqrt(1 + eps/2): expand both square roots binomially and use
+        # the moments (2/pi) int_0^pi cos^(2j) dtheta = 2 C(2j, j) / 4^j
+        def binom(a, k):
+            out = Fraction(1)
+            for i in range(k):
+                out *= (a - i) / (i + 1)
+            return out
+
+        integral = [
+            binom(Fraction(1, 2), k) / 2**k * Fraction(2 * math.comb(2 * k + 2, k + 1), 4 ** (k + 1))
+            for k in range(4)
+        ]
+        inverse_prefactor = [binom(Fraction(-1, 2), k) / 2**k for k in range(4)]
+        exact = [sum(integral[i] * inverse_prefactor[l - i] for i in range(l + 1)) for l in range(4)]
+        assert exact == [1, Fraction(-1, 16), Fraction(7, 256), Fraction(-101, 8192)]
+
+        p = make_params(1.0, 1.0, 2.0, 1.0)
+        ep = energy_point(p, 2.0)  # eps = 1/2 exactly
+        brackets = [
+            action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP, n_terms=n).j_value
+            / (2.0 * math.sqrt(1.25))
+            for n in range(1, 5)
+        ]
+        tabulated = [brackets[0]] + [(brackets[l] - brackets[l - 1]) / 0.5**l for l in range(1, 4)]
+        assert tabulated == pytest.approx([float(c) for c in exact], rel=1e-12)
 
     def test_matches_quadrature_within_omitted_term(self):
         p, ep = params_for_eps(0.1)

@@ -163,15 +163,31 @@ class TestRk4Period:
 
     @pytest.mark.parametrize(
         "spec, period",
-        zip(PINNED_SPECS, [6.898717272011763, 6.740500920649516, 5.960469630637633, 6.283185307184436]),
+        zip(PINNED_SPECS, [6.898717272011908, 6.740500920649658, 5.960469630637768, 6.283185307184574]),
         ids=lambda v: v.kind.value if isinstance(v, HamiltonianSpec) else "",
     )
     def test_period_is_pinned_bit_for_bit(self, spec, period):
-        # values of the one-period loop; a refactor that keeps the stage
+        # values of the half-orbit loop; a refactor that keeps the stage
         # expressions and their evaluation order reproduces them exactly
         assert rk4_period(spec, 0.2 * _P10.rest_energy) == period
 
-    def test_one_period_of_force_calls_per_attempt(self):
+    @pytest.mark.parametrize("e", [0.5, 1.0, 5.0])
+    def test_half_period_needs_only_an_even_kinetic_term(self, e):
+        # k = 1 for x >= 0 and k = 4 for x < 0: the two half orbits take
+        # pi and pi / 2, so T = 1.5 pi; a quarter-period shortcut, which
+        # assumes V even in x, would give 2 pi
+        class TwoSided(HamiltonianSpec):
+            def potential(self, x):
+                return 0.5 * (x * x if x >= 0.0 else 4.0 * x * x)
+
+            def flow(self):
+                velocity, _ = super().flow()
+                return velocity, lambda x: -x if x >= 0.0 else -4.0 * x
+
+        spec = TwoSided(HamiltonianKind.SHO, natural_params())
+        assert abs(rk4_period(spec, e) - 1.5 * math.pi) < 1e-11 * 1.5 * math.pi
+
+    def test_half_orbit_of_force_calls_per_attempt(self):
         calls = [0]
 
         class Counting(HamiltonianSpec):
@@ -187,9 +203,9 @@ class TestRk4Period:
         spec = Counting(HamiltonianKind.SHO, _P10)
         period = rk4_period(spec, 20.0)
         dt = 2.0 * math.pi / 2000.0
-        # one force call to start, then four per step: three RK4 stages
-        # and the end-of-step force that the next step reuses
-        assert calls[0] <= 4 * (period / dt + 2) + 1
+        # one force call to start, then four per step over half an orbit:
+        # three RK4 stages and the end-of-step force that the next step reuses
+        assert calls[0] <= 4 * (period / (2 * dt) + 2) + 1
 
     def test_no_return_to_the_turning_point_raises(self):
         class Frozen(HamiltonianSpec):
@@ -198,7 +214,7 @@ class TestRk4Period:
                 return velocity, lambda x: 0.0
 
         spec = Frozen(HamiltonianKind.SHO, natural_params())
-        with pytest.raises(NotConverged, match="no momentum down-crossing after t = 0 within t = 50.27"):
+        with pytest.raises(NotConverged, match="no momentum up-crossing after t = 0 within t = 50.27"):
             rk4_period(spec, 1.0)
 
     @pytest.mark.parametrize(
