@@ -15,6 +15,7 @@ is the coefficient of the power -1.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from .core import OrderInsufficient, ParameterOutOfRange
@@ -148,20 +149,34 @@ class LaurentSeries:
         return self.coefficient(-1)
 
 
-def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    out: dict[int, complex] = {}
-    for pa, ca in a._coeffs.items():
-        for pb, cb in b._coeffs.items():
-            p = pa + pb
-            out[p] = out.get(p, 0.0) + ca * cb
+def _top_power(s: LaurentSeries) -> int:
+    """Highest power s may hold: its top stored power, else the top of its
+    unknown terms, trunc_low - 1; an exact zero counts as 0."""
+    if s._coeffs:
+        return max(s._coeffs)
+    return 0 if s.trunc_low is None else s.trunc_low - 1
 
-    # Unknown terms below one factor's bound multiply the top stored power
-    # of the other, contaminating every power below the bound computed here.
+
+def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    # Unknown terms below one factor's bound multiply the top power of the
+    # other, contaminating every power below the bound computed here.
     lo = None
     if a.trunc_low is not None:
-        lo = _tighter(lo, a.trunc_low + (b.max_power or 0))
+        lo = a.trunc_low + _top_power(b)
     if b.trunc_low is not None:
-        lo = _tighter(lo, b.trunc_low + (a.max_power or 0))
+        lo = _tighter(lo, b.trunc_low + _top_power(a))
+
+    # Only pairs landing at or above lo are formed.  Each kept power sums
+    # its pairs in the order of a's powers, as a full double loop would.
+    floor = -math.inf if lo is None else lo
+    out: dict[int, complex] = {}
+    b_items = b._coeffs.items()
+    for pa, ca in a._coeffs.items():
+        need = floor - pa
+        for pb, cb in b_items:
+            if pb >= need:
+                p = pa + pb
+                out[p] = out.get(p, 0.0) + ca * cb
     return LaurentSeries(out, lo)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     ActionResult,
@@ -58,14 +59,21 @@ __all__ = [
 class RiccatiSolution:
     """Laurent-series solution of a quantum momentum-function equation.
 
-    coefficients holds the series (in x for pdx, in p for xdp);
-    residual_norm is the relative magnitude of the worst violated
-    coefficient when the series is substituted back into its defining
-    equation.
+    coefficients holds the series s (in v = x for pdx, v = p for xdp),
+    which solves -i hbar_term ds/dv + s^2 = rhs with hbar_term = +hbar
+    (pdx) or -hbar (xdp).  residual_norm is the relative magnitude of the
+    worst violated coefficient when the series is substituted back into
+    that equation; it is computed on its first read, since no action or
+    spectrum reads it.
     """
 
     coefficients: LaurentSeries
-    residual_norm: float
+    hbar_term: float
+    rhs: LaurentSeries
+
+    @cached_property
+    def residual_norm(self) -> float:
+        return _residual_norm(self.coefficients, self.hbar_term, self.rhs)
 
 
 def _riccati_series(
@@ -121,10 +129,7 @@ def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     b = _riccati_series(-m * k, +1, 2.0 * m * e, hbar, order)
     series = _series_from_coeffs(b, order)
     rhs = LaurentSeries({2: -m * k, 0: 2.0 * m * e})
-    return RiccatiSolution(
-        coefficients=series,
-        residual_norm=_residual_norm(series, hbar, rhs),
-    )
+    return RiccatiSolution(coefficients=series, hbar_term=hbar, rhs=rhs)
 
 
 def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSolution:
@@ -141,10 +146,7 @@ def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     b = _riccati_series(-1.0 / (m * k), -1, 2.0 * e / k, -hbar, order)
     series = _series_from_coeffs(b, order)
     rhs = LaurentSeries({2: -1.0 / (m * k), 0: 2.0 * e / k})
-    return RiccatiSolution(
-        coefficients=series,
-        residual_norm=_residual_norm(series, -hbar, rhs),
-    )
+    return RiccatiSolution(coefficients=series, hbar_term=-hbar, rhs=rhs)
 
 
 def quantum_action_sho(

@@ -1,10 +1,15 @@
 """Command-line surface: subcommands, config layering, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import actionvar
 from actionvar import cli, oracles
 from actionvar.cli import main
 from actionvar.core import ConfigInvalid, IoFailure, NotConverged, WeakRegimeWarning
@@ -404,3 +409,17 @@ class TestConfigLayering:
         assert code == 1
         assert out == ""
         assert err == "actionvar: error: c must be finite and > 0, got 0.0\n"
+
+
+class TestModuleEntryPoint:
+    def test_python_m_actionvar_matches_main(self, capsys):
+        src = str(Path(actionvar.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "actionvar", "table1"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        code, out, _ = run(capsys, "table1")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionvar.core import OrderInsufficient, ParameterOutOfRange
@@ -19,6 +19,27 @@ coeffs_strategy = st.dictionaries(
     ),
     max_size=6,
 )
+
+trunc_strategy = st.one_of(st.none(), st.integers(min_value=-8, max_value=7))
+
+# small integers, so that every product and sum below is exact in floats
+int_coeffs_strategy = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    max_size=6,
+)
+# where a hidden series is cut, in powers from its top term (None: exact);
+# an offset above 0 leaves the truncated series holding no term at all
+offset_strategy = st.one_of(st.none(), st.integers(min_value=-3, max_value=2))
+
+
+def naive_product(a: LaurentSeries, b: LaurentSeries, bound: int | None) -> list:
+    """Every pair of a full double loop, then the powers at or above bound."""
+    out = {}
+    for pa, ca in a.coefficients.items():
+        for pb, cb in b.coefficients.items():
+            out[pa + pb] = out.get(pa + pb, 0.0) + ca * cb
+    return [(p, c) for p, c in out.items() if c != 0 and (bound is None or p >= bound)]
 
 
 def approx_equal(a: LaurentSeries, b: LaurentSeries, tol: float = 1e-9) -> bool:
@@ -91,6 +112,18 @@ class TestWindows:
         a = LaurentSeries({0: 1.0, -3: 1.0}, trunc_low=-3)
         b = LaurentSeries({2: 1.0, 0: 1.0})
         assert (a * b).trunc_low == -1
+
+    def test_mul_of_truncated_empty_series_is_untrusted_above_zero(self):
+        # each factor may hold x^2 below its bound x^3, and x^2 * x^2 = x^4
+        a = LaurentSeries({}, trunc_low=3)
+        assert (a * a).trunc_low == 5
+        with pytest.raises(OrderInsufficient):
+            (a * a).coefficient(4)
+
+    def test_mul_by_exact_zero_keeps_the_other_bound(self):
+        a = LaurentSeries({1: 2.0}, trunc_low=-1)
+        assert (a * LaurentSeries.zero()).trunc_low == -1
+        assert (LaurentSeries.zero() * a).is_zero()
 
     def test_truncated_never_widens(self):
         s = LaurentSeries({0: 1.0}, trunc_low=-2)
@@ -191,3 +224,30 @@ class TestAlgebraProperties:
         expected = alpha * sa.residue() + beta * sb.residue()
         scale = max(abs(expected), 1.0)
         assert abs(combined.residue() - expected) <= 1e-9 * scale
+
+    @given(a=coeffs_strategy, ta=trunc_strategy, b=coeffs_strategy, tb=trunc_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_product_equals_naive_double_loop(self, a, ta, b, tb):
+        sa, sb = LaurentSeries(a, ta), LaurentSeries(b, tb)
+        product = sa * sb
+        # same coefficients, bit for bit, in the same order
+        assert list(product.coefficients.items()) == naive_product(sa, sb, product.trunc_low)
+
+    @given(
+        a=int_coeffs_strategy, da=offset_strategy, b=int_coeffs_strategy, db=offset_strategy
+    )
+    @example(a={2: 1}, da=1, b={2: 1}, db=1)  # both factors hold only unknown terms
+    @settings(max_examples=200, deadline=None)
+    def test_trusted_product_terms_match_the_exact_product(self, a, da, b, db):
+        # a and b are the hidden exact series; the factors know them only
+        # down to a bound placed da and db powers from their top terms
+        ta = None if da is None else max(a, default=0) + da
+        tb = None if db is None else max(b, default=0) + db
+        exact = {}
+        for pa, ca in a.items():
+            for pb, cb in b.items():
+                exact[pa + pb] = exact.get(pa + pb, 0) + ca * cb
+        product = LaurentSeries(a, ta) * LaurentSeries(b, tb)
+        low = -14 if product.trunc_low is None else product.trunc_low
+        for p in range(low, 15):
+            assert product.coefficient(p) == exact.get(p, 0)

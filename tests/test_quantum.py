@@ -20,9 +20,11 @@ from actionvar.core import (
     make_params,
     natural_params,
 )
+from actionvar import quantum
 from actionvar.laurent import binomial_sqrt, LaurentSeries
 from actionvar.quantum import (
     _real,
+    _residual_norm,
     aho_coeffs,
     aho_coeffs_derived,
     eigenvalues_aho,
@@ -154,6 +156,40 @@ class TestRiccatiXdp:
         s = riccati_xdp(p, 1.0).coefficients
         # classical orbit function: b'2 = i e / omega0
         assert s.coefficient(-1) == pytest.approx(1j)
+
+
+class TestResidualNormOnDemand:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _residual_norm(*args)
+
+        monkeypatch.setattr(quantum, "_residual_norm", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "solve, hbar_sign, rhs",
+        [
+            (riccati_pdx, 1.0, lambda m, k, hbar, e: {2: -m * k, 0: 2.0 * m * e}),
+            (riccati_xdp, -1.0, lambda m, k, hbar, e: {2: -1.0 / (m * k), 0: 2.0 * e / k}),
+        ],
+        ids=["pdx", "xdp"],
+    )
+    def test_computed_once_on_first_read(self, counted, solve, hbar_sign, rhs):
+        m, k, c, hbar, e = 2.0, 8.0, 10.0, 0.6, 3.7
+        sol = solve(make_params(m, k, c, hbar), e, order=11)
+        assert counted == []
+        first = sol.residual_norm
+        assert len(counted) == 1
+        assert sol.residual_norm == first
+        assert len(counted) == 1
+        # the formula riccati_pdx and riccati_xdp used to apply on every call
+        assert first == _residual_norm(
+            sol.coefficients, hbar_sign * hbar, LaurentSeries(rhs(m, k, hbar, e))
+        )
 
 
 class TestQuantumActionSho:
@@ -297,6 +333,71 @@ class TestResiduePathsOverFullRange:
         assert all(close(got, want) for got, want in wr_pair)
         assert all(close(got, want) for got, want in aho_pair)
         assert close(classical, classical_closed)
+
+
+# Residue-path values at m = k = hbar = 1, c = 100.  Every Laurent product
+# and recurrence sums its terms in a fixed order, so a refactor that keeps
+# that order reproduces them exactly.
+_RESIDUE_PINS = {
+    0.7: {
+        "wr_pdx_derived": 0.20001387499999995,
+        "aho_residue": {1e-4: 0.19988899999999996, -1e-4: 0.20011099999999996},
+        "wr_correction_derived": (3.4999999999999996, 1.0),
+        "aho_coeffs_derived": (1.0, 1.3571428571428572, 0.7193877551020408, 0.35714285714285715),
+        "root": 0.4999906251757763,
+        "residual_norm": 1.349221226955454e-16,
+    },
+    3.3: {
+        "wr_pdx_derived": 2.800208875,
+        "aho_residue": {1e-4: 2.798329, -1e-4: 2.801671},
+        "wr_correction_derived": (1.5303030303030305, 1.0),
+        "aho_coeffs_derived": (1.0, 1.0757575757575757, 0.8978420569329659, 0.07575757575757576),
+        "root": 3.4997656557565904,
+        "residual_norm": 4.779176188847847e-17,
+    },
+    37.0: {
+        "wr_pdx_derived": 36.5256734375,
+        "aho_residue": {1e-4: 36.2946125, -1e-4: 36.7053875},
+        "wr_correction_derived": (1.0472972972972974, 1.0),
+        "aho_coeffs_derived": (1.0, 1.0067567567567568, 0.9899561723886048, 0.006756756756756757),
+        "root": 36.475049763963185,
+        "residual_norm": 1.5342833557127803e-15,
+    },
+}
+
+
+@pytest.mark.parametrize("e", sorted(_RESIDUE_PINS))
+class TestResiduePathPinnedBitForBit:
+    params = natural_params(c=100.0)
+
+    def test_wr_pdx_derived(self, e):
+        j = quantum_action_wr_pdx_derived(self.params, energy_point(self.params, e)).j_value
+        assert j == _RESIDUE_PINS[e]["wr_pdx_derived"]
+
+    @pytest.mark.parametrize("delta", [1e-4, -1e-4])
+    def test_aho_residue(self, e, delta):
+        j = quantum_action_aho_residue(self.params, e, delta).j_value
+        assert j == _RESIDUE_PINS[e]["aho_residue"][delta]
+
+    def test_wr_correction_derived(self, e):
+        ep = energy_point(self.params, e)
+        assert wr_correction_derived(self.params, ep) == _RESIDUE_PINS[e]["wr_correction_derived"]
+
+    @pytest.mark.parametrize("delta", [1e-4, -1e-4])
+    def test_aho_coeffs_derived(self, e, delta):
+        assert aho_coeffs_derived(self.params, e, delta) == _RESIDUE_PINS[e]["aho_coeffs_derived"]
+
+    def test_root_of_the_derived_action(self, e):
+        p = self.params
+
+        def j(energy):
+            return quantum_action_wr_pdx_derived(p, energy_point(p, energy)).j_value
+
+        assert invert_action(j, round(e - 0.5), p) == _RESIDUE_PINS[e]["root"]
+
+    def test_riccati_residual_norm(self, e):
+        norm = riccati_pdx(self.params, e, order=11).residual_norm
+        assert norm == _RESIDUE_PINS[e]["residual_norm"]
 
 
 class TestQuantumActionWrXdp:
