@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,13 +35,11 @@ from .oracles import HamiltonianKind, HamiltonianSpec
 
 __all__ = [
     "TurningPoints",
-    "ActionResult",
     "turning_points_wr",
     "turning_momenta_wr",
     "action_sho",
     "action_wr_pdx",
     "action_wr_xdp",
-    "action_wr_xdp_first_order",
     "action_wr_residue",
     "wr_momentum_series",
     "action_fullrel",
@@ -102,13 +100,8 @@ def turning_momenta_wr(params: OscillatorParams, ep: EnergyPoint) -> TurningPoin
 
 def action_sho(params: OscillatorParams, e: float) -> ActionResult:
     """Non-relativistic harmonic action J = e / omega0."""
-    ep = energy_point(params, e)
-    return ActionResult(
-        j_value=e / params.omega0,
-        scheme=SchemeTag.CLASSICAL_SHO,
-        order_epsilon=0,
-        e_point=ep,
-    )
+    energy_point(params, e)
+    return ActionResult(e / params.omega0)
 
 
 def action_wr_pdx(params: OscillatorParams, ep: EnergyPoint) -> ActionResult:
@@ -117,10 +110,7 @@ def action_wr_pdx(params: OscillatorParams, ep: EnergyPoint) -> ActionResult:
     J = (e/omega0) (1 + 3 eps / 16).
     """
     require_weak_regime(ep, "action_wr_pdx")
-    j = (ep.e_tilde / params.omega0) * (1.0 + 3.0 * ep.epsilon / 16.0)
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.CLASSICAL_WR_PDX, order_epsilon=1, e_point=ep
-    )
+    return ActionResult((ep.e_tilde / params.omega0) * (1.0 + 3.0 * ep.epsilon / 16.0))
 
 
 # Coefficients c_j of sqrt(1 - u) = sum_j c_j u^j; the momentum-form series
@@ -153,23 +143,7 @@ def action_wr_xdp(
         rho_pow *= rho
         bracket += -2.0 * c[l + 1] * c[l] * rho_pow
     prefactor = math.sqrt(2.0 / (1.0 + q))
-    j = (ep.e_tilde / params.omega0) * prefactor * bracket
-    return ActionResult(
-        j_value=j,
-        scheme=SchemeTag.CLASSICAL_WR_XDP,
-        order_epsilon=n_terms - 1,
-        e_point=ep,
-    )
-
-
-def action_wr_xdp_first_order(params: OscillatorParams, ep: EnergyPoint) -> ActionResult:
-    """Momentum-form weakly relativistic action truncated at order eps.
-
-    To this order the momentum form collapses onto the coordinate form,
-    (e/omega0)(1 + 3 eps / 16); comparison tables print this truncation so
-    all first-order schemes are shown at the same order.
-    """
-    return replace(action_wr_pdx(params, ep), scheme=SchemeTag.CLASSICAL_WR_XDP)
+    return ActionResult((ep.e_tilde / params.omega0) * prefactor * bracket)
 
 
 def wr_momentum_series(
@@ -201,10 +175,7 @@ def action_wr_residue(params: OscillatorParams, ep: EnergyPoint) -> ActionResult
     +e/omega0.
     """
     series = wr_momentum_series(params, ep, 2)
-    j = (1j * series.residue()).real
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.CLASSICAL_WR_PDX, order_epsilon=1, e_point=ep
-    )
+    return ActionResult((1j * series.residue()).real)
 
 
 # Tabulated series for the fully relativistic action.  Row "pdx" is in
@@ -224,8 +195,9 @@ def action_fullrel(
 ) -> ActionResult:
     """Fully relativistic action from the tabulated series.
 
-    form selects the coordinate (pdx) or momentum (xdp) expansion; both
-    equal (e/omega0) sqrt(1 + eps/2) times their bracketed series.
+    form, SchemeTag.CLASSICAL_FULLREL_PDX or SchemeTag.CLASSICAL_FULLREL_XDP,
+    selects the coordinate (pdx) or momentum (xdp) expansion; both equal
+    (e/omega0) sqrt(1 + eps/2) times their bracketed series.
     """
     if ep.epsilon > 1.0:
         raise ParameterOutOfRange(
@@ -249,7 +221,7 @@ def action_fullrel(
     for l in range(n_terms):
         bracket += coeffs[l] * u**l
     j = (ep.e_tilde / params.omega0) * math.sqrt(1.0 + ep.epsilon / 2.0) * bracket
-    return ActionResult(j_value=j, scheme=form, order_epsilon=n_terms - 1, e_point=ep)
+    return ActionResult(j)
 
 
 def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:

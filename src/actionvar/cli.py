@@ -28,7 +28,6 @@ from .classical import (
     action_fullrel,
     action_quadrature,
     action_wr_pdx,
-    action_wr_xdp_first_order,
     frequency_from_action,
     frequency_wr_closed,
 )
@@ -61,7 +60,7 @@ _DEFAULT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class _Scheme:
-    """One printed scheme and the oracle kind that checks it.
+    """One printed scheme: the tag --show-scheme prints, and the oracle kind that checks it.
 
     fn is an action function (params, ep) -> ActionResult when the oracle
     is FULL_REL quadrature, else a level function
@@ -69,7 +68,7 @@ class _Scheme:
     """
 
     fn: Callable
-    tag: SchemeTag
+    tag: str
     oracle: HamiltonianKind
     note: str
 
@@ -92,52 +91,52 @@ def _rs_level(spec: HamiltonianSpec, n: int) -> tuple[float, float]:
 _SCHEMES = {
     "fullrel_pdx": _Scheme(
         lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX),
-        SchemeTag.CLASSICAL_FULLREL_PDX, HamiltonianKind.FULL_REL,
+        "classical-fullrel-pdx", HamiltonianKind.FULL_REL,
         "tabulated series in eps/(2+eps), coordinate contour",
     ),
     "fullrel_xdp": _Scheme(
         lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP),
-        SchemeTag.CLASSICAL_FULLREL_XDP, HamiltonianKind.FULL_REL,
+        "classical-fullrel-xdp", HamiltonianKind.FULL_REL,
         "tabulated series in eps, momentum contour",
     ),
     "weakrel_pdx": _Scheme(
         action_wr_pdx,
-        SchemeTag.CLASSICAL_WR_PDX, HamiltonianKind.FULL_REL,
+        "classical-wr-pdx", HamiltonianKind.FULL_REL,
         "(e/omega0)(1 + 3 eps/16)",
     ),
     "weakrel_xdp": _Scheme(
-        action_wr_xdp_first_order,
-        SchemeTag.CLASSICAL_WR_XDP, HamiltonianKind.FULL_REL,
+        action_wr_pdx,
+        "classical-wr-xdp", HamiltonianKind.FULL_REL,
         "momentum form truncated at order eps, (e/omega0)(1 + 3 eps/16)",
     ),
     "sho": _Scheme(
         lambda spec, n: ((n + 0.5) * _hw(spec), 0.0),
-        SchemeTag.QUANTUM_SHO_PDX, HamiltonianKind.SHO,
+        "quantum-sho-pdx", HamiltonianKind.SHO,
         "harmonic spectrum (n + 1/2) hbar omega0",
     ),
     "wr-pdx": _Scheme(
         lambda spec, n: _pair(eigenvalues_wr_pdx(spec.params, n)),
-        SchemeTag.QUANTUM_WR_PDX, HamiltonianKind.WEAK_REL,
+        "quantum-wr-pdx", HamiltonianKind.WEAK_REL,
         "coordinate-form first-order spectrum",
     ),
     "wr-xdp": _Scheme(
         lambda spec, n: _pair(eigenvalues_wr_xdp(spec.params, n)),
-        SchemeTag.QUANTUM_WR_XDP, HamiltonianKind.WEAK_REL,
+        "quantum-wr-xdp", HamiltonianKind.WEAK_REL,
         "momentum-form first-order spectrum",
     ),
     "jwkb": _Scheme(
         lambda spec, n: _pair(jwkb_levels_wr(spec.params, n)),
-        SchemeTag.JWKB_WR, HamiltonianKind.WEAK_REL,
+        "jwkb-wr", HamiltonianKind.WEAK_REL,
         "semiclassical discretization of the classical action",
     ),
     "rs": _Scheme(
         _rs_level,
-        SchemeTag.RAYLEIGH_SCHRODINGER, HamiltonianKind.WEAK_REL,
+        "rayleigh-schrodinger", HamiltonianKind.WEAK_REL,
         "first-order expectation value of the p^4 term",
     ),
     "aho": _Scheme(
         lambda spec, n: _pair(eigenvalues_aho(spec.params, spec.delta, n)),
-        SchemeTag.QUANTUM_AHO_PDX, HamiltonianKind.QUARTIC_AHO,
+        "quantum-aho-pdx", HamiltonianKind.QUARTIC_AHO,
         "quartic-anharmonic first-order spectrum",
     ),
 }
@@ -209,7 +208,7 @@ def _print_scheme_notes(names: list[str]) -> None:
     """One line per scheme, then one naming what their shared oracle solves."""
     print("# column schemes:")
     for name in names:
-        print(f"#   {name}: {_SCHEMES[name].tag.value} -- {_SCHEMES[name].note}")
+        print(f"#   {name}: {_SCHEMES[name].tag} -- {_SCHEMES[name].note}")
     kind = _SCHEMES[names[0]].oracle
     oracle_name, note = _ORACLES[kind]
     print(f"#   {oracle_name}: {kind.value} -- {note}")
@@ -389,7 +388,10 @@ _SETTINGS = {
     "eps": _Setting("comma list of eps values", _eps_list, (0.01, 0.05, 0.1)),
     "ratio": _Setting("hbar*omega0 / m c^2", float, 0.01, HamiltonianKind.WEAK_REL),
     "nmax": _Setting("highest quantum number", int, 10),
-    "delta": _Setting("quartic strength (aho scheme)", float, 0.0, HamiltonianKind.QUARTIC_AHO),
+    "delta": _Setting(
+        "quartic strength (aho scheme); give a negative one as --delta=-1e-4 or --delta -0.0001",
+        float, 0.0, HamiltonianKind.QUARTIC_AHO,
+    ),
     "csv": _Setting("write CSV to this path", str, None),
 }
 

@@ -77,20 +77,10 @@ class WeakRegimeWarning(UserWarning):
 
 
 class SchemeTag(Enum):
-    """Identifies which calculation scheme produced a result."""
+    """Contour form of the fully relativistic series; action_fullrel reads it."""
 
-    CLASSICAL_SHO = "classical-sho"
-    CLASSICAL_WR_PDX = "classical-wr-pdx"
-    CLASSICAL_WR_XDP = "classical-wr-xdp"
     CLASSICAL_FULLREL_PDX = "classical-fullrel-pdx"
     CLASSICAL_FULLREL_XDP = "classical-fullrel-xdp"
-    QUANTUM_SHO_PDX = "quantum-sho-pdx"
-    QUANTUM_SHO_XDP = "quantum-sho-xdp"
-    QUANTUM_WR_PDX = "quantum-wr-pdx"
-    QUANTUM_WR_XDP = "quantum-wr-xdp"
-    QUANTUM_AHO_PDX = "quantum-aho-pdx"
-    JWKB_WR = "jwkb-wr"
-    RAYLEIGH_SCHRODINGER = "rayleigh-schrodinger"
 
 
 @dataclass(frozen=True)
@@ -145,21 +135,16 @@ class EnergyPoint:
 
 @dataclass(frozen=True)
 class ActionResult:
-    """Value of an action variable J(E) with its provenance."""
+    """Value of an action variable J(E)."""
 
     j_value: float
-    scheme: SchemeTag
-    order_epsilon: int
-    e_point: EnergyPoint
 
 
 @dataclass(frozen=True)
 class SpectrumEntry:
     """One quantum level: energy and its shift from (n + 1/2) hbar omega0."""
 
-    n: int
     energy: float
-    scheme: SchemeTag
     correction: float
 
 

@@ -58,10 +58,6 @@ class LaurentSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentSeries":
-        return cls({})
-
-    @classmethod
     def term(cls, power: int, coeff: complex) -> "LaurentSeries":
         return cls({power: coeff})
 
@@ -79,15 +75,9 @@ class LaurentSeries:
             )
         return self._coeffs.get(power, 0.0 + 0.0j)
 
-    def __getitem__(self, power: int) -> complex:
-        return self.coefficient(power)
-
     @property
     def max_power(self) -> int | None:
         return max(self._coeffs) if self._coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self._coeffs.values()), default=0.0)

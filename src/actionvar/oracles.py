@@ -20,7 +20,6 @@ from .core import (
     NotConverged,
     OscillatorParams,
     ParameterOutOfRange,
-    SchemeTag,
     SpectrumEntry,
 )
 from .rootfind import increasing_root
@@ -424,6 +423,4 @@ def jwkb_levels_wr(params: OscillatorParams, n: int) -> SpectrumEntry:
 
     e0 = (n + 0.5) * hbar * w0
     energy = increasing_root(f, 0.5 * e0, 1.5 * e0, f_tol=1e-14 * max(target, 1.0))
-    return SpectrumEntry(
-        n=n, energy=energy, scheme=SchemeTag.JWKB_WR, correction=energy - e0
-    )
+    return SpectrumEntry(energy, energy - e0)

@@ -7,8 +7,10 @@ inverting J(E) = n hbar.  Covered regimes: simple harmonic, weakly
 relativistic (both contour forms), and quartic anharmonic.
 
 Closed-form surface functions evaluate the published first-order series
-exactly as stated; each has a companion derivation path that rebuilds the
-same quantity from the recurrence so the two can be compared in tests.
+exactly as stated.  Four have a companion that rebuilds the value from the
+recurrence, for tests to compare: wr_correction_derived, aho_coeffs_derived,
+quantum_action_wr_pdx_derived and quantum_action_aho_residue.
+quantum_action_wr_xdp has none.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .core import (
     OrderInsufficient,
     OscillatorParams,
     ParameterOutOfRange,
-    SchemeTag,
     SpectrumEntry,
     WeakRegimeWarning,
     energy_point,
@@ -35,7 +36,6 @@ from .rootfind import increasing_root
 
 __all__ = [
     "RiccatiSolution",
-    "SpectrumEntry",
     "riccati_pdx",
     "riccati_xdp",
     "quantum_action_sho",
@@ -158,18 +158,14 @@ def quantum_action_sho(
     coefficient b2 (pdx) or the p^(-1) coefficient b'2 (xdp), with the
     contour orientations fixed so both forms agree.
     """
-    ep = energy_point(params, e)
+    energy_point(params, e)
     if form == "pdx":
         res = riccati_pdx(params, e, order=3).coefficients.residue()
-        j = (1j * res).real
-        scheme = SchemeTag.QUANTUM_SHO_PDX
-    elif form == "xdp":
+        return ActionResult((1j * res).real)
+    if form == "xdp":
         res = riccati_xdp(params, e, order=3).coefficients.residue()
-        j = (-1j * res).real
-        scheme = SchemeTag.QUANTUM_SHO_XDP
-    else:
-        raise ParameterOutOfRange(f"form must be 'pdx' or 'xdp', got {form!r}")
-    return ActionResult(j_value=j, scheme=scheme, order_epsilon=0, e_point=ep)
+        return ActionResult((-1j * res).real)
+    raise ParameterOutOfRange(f"form must be 'pdx' or 'xdp', got {form!r}")
 
 
 # -- weakly relativistic, coordinate form -------------------------------------
@@ -288,9 +284,7 @@ def quantum_action_wr_pdx(params: OscillatorParams, ep: EnergyPoint) -> ActionRe
     y = params.hbar * params.omega0 / ep.e_tilde
     bracket = 3.0 / 16.0 + (7.0 / 16.0) * y - (17.0 / 64.0) * y * y
     j = (ep.e_tilde / params.omega0) * (1.0 + ep.epsilon * bracket) - params.hbar / 2.0
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.QUANTUM_WR_PDX, order_epsilon=1, e_point=ep
-    )
+    return ActionResult(j)
 
 
 def quantum_action_wr_pdx_derived(
@@ -304,10 +298,7 @@ def quantum_action_wr_pdx_derived(
     require_weak_regime(ep, "quantum_action_wr_pdx_derived")
     p0, u = _wr_correction_layer(params, ep, n_coeffs=3)
     res = p0.coefficient(-1) + ep.epsilon * u[2]
-    j = _real(1j * res)
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.QUANTUM_WR_PDX, order_epsilon=1, e_point=ep
-    )
+    return ActionResult(_real(1j * res))
 
 
 # -- weakly relativistic, momentum form ---------------------------------------
@@ -333,9 +324,7 @@ def quantum_action_wr_xdp(params: OscillatorParams, ep: EnergyPoint) -> ActionRe
     j = e / w0 - hbar / 2.0 + (3.0 / (64.0 * params.rest_energy)) * (
         hbar * hbar * w0 + 4.0 * e * e / w0
     )
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.QUANTUM_WR_XDP, order_epsilon=1, e_point=ep
-    )
+    return ActionResult(j)
 
 
 # -- spectra ------------------------------------------------------------------
@@ -382,12 +371,7 @@ def eigenvalues_wr_pdx(params: OscillatorParams, n: int) -> SpectrumEntry:
     r = params.level_ratio
     correction = -(3.0 / 16.0) * ((n + 5.0 / 3.0) ** 2 - 25.0 / 9.0) * r * hw
     _flag_large_correction(correction, n, params, "eigenvalues_wr_pdx")
-    return SpectrumEntry(
-        n=n,
-        energy=(n + 0.5) * hw + correction,
-        scheme=SchemeTag.QUANTUM_WR_PDX,
-        correction=correction,
-    )
+    return SpectrumEntry((n + 0.5) * hw + correction, correction)
 
 
 def eigenvalues_wr_xdp(params: OscillatorParams, n: int) -> SpectrumEntry:
@@ -401,12 +385,7 @@ def eigenvalues_wr_xdp(params: OscillatorParams, n: int) -> SpectrumEntry:
     r = params.level_ratio
     correction = -(3.0 / 16.0) * r * ((n + 0.5) ** 2 + 4.0) * hw
     _flag_large_correction(correction, n, params, "eigenvalues_wr_xdp")
-    return SpectrumEntry(
-        n=n,
-        energy=(n + 0.5) * hw + correction,
-        scheme=SchemeTag.QUANTUM_WR_XDP,
-        correction=correction,
-    )
+    return SpectrumEntry((n + 0.5) * hw + correction, correction)
 
 
 # -- quartic anharmonic oscillator --------------------------------------------
@@ -465,7 +444,7 @@ def quantum_action_aho(params: OscillatorParams, e: float, delta: float) -> Acti
     J = e/omega0 - hbar/2 - (3 delta / 32 m^2 omega0^3)(4 hbar^2 +
     16 e^2/omega0^2), the hbar-safe rewriting of the lambda form.
     """
-    ep = energy_point(params, e)
+    energy_point(params, e)
     _aho_smallness_check(params, e, delta)
     m, w0, hbar = params.m, params.omega0, params.hbar
     j = (
@@ -473,21 +452,16 @@ def quantum_action_aho(params: OscillatorParams, e: float, delta: float) -> Acti
         - hbar / 2.0
         - (3.0 * delta / (32.0 * m * m * w0**3)) * (4.0 * hbar * hbar + 16.0 * e * e / (w0 * w0))
     )
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.QUANTUM_AHO_PDX, order_epsilon=1, e_point=ep
-    )
+    return ActionResult(j)
 
 
 def quantum_action_aho_residue(
     params: OscillatorParams, e: float, delta: float
 ) -> ActionResult:
     """Anharmonic action assembled from the x^(-1) residue b2 + delta u_2."""
-    ep = energy_point(params, e)
+    energy_point(params, e)
     p0, u = _aho_correction_layer(params, e)
-    j = _real(1j * (p0.coefficient(-1) + delta * u[2]))
-    return ActionResult(
-        j_value=j, scheme=SchemeTag.QUANTUM_AHO_PDX, order_epsilon=1, e_point=ep
-    )
+    return ActionResult(_real(1j * (p0.coefficient(-1) + delta * u[2])))
 
 
 def eigenvalues_aho(params: OscillatorParams, delta: float, n: int) -> SpectrumEntry:
@@ -510,6 +484,4 @@ def eigenvalues_aho(params: OscillatorParams, delta: float, n: int) -> SpectrumE
             WeakRegimeWarning,
             stacklevel=2,
         )
-    return SpectrumEntry(
-        n=n, energy=energy, scheme=SchemeTag.QUANTUM_AHO_PDX, correction=correction
-    )
+    return SpectrumEntry(energy, correction)

@@ -15,14 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from actionvar.classical import (
-    action_fullrel,
-    action_quadrature,
-    action_wr_pdx,
-    action_wr_xdp_first_order,
-)
+from actionvar import cli
+from actionvar.classical import action_quadrature, action_wr_pdx
 from actionvar.core import (
-    SchemeTag,
     WeakRegimeWarning,
     energy_point,
     make_params,
@@ -105,14 +100,11 @@ def test_criterion_3_classical_table_columns():
     e = eps * p.rest_energy
     ep = energy_point(p, e)
     unit = e / p.omega0
-    weak_pdx = action_wr_pdx(p, ep).j_value / unit
-    weak_xdp = action_wr_xdp_first_order(p, ep).j_value / unit
-    vals = [
-        action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX).j_value / unit,
-        action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP).j_value / unit,
-        weak_pdx,
-        weak_xdp,
-    ]
+    # the four columns table1 prints, from the scheme table that drives it
+    columns = cli._checked_by(HamiltonianKind.FULL_REL)
+    assert columns == ["fullrel_pdx", "fullrel_xdp", "weakrel_pdx", "weakrel_xdp"]
+    vals = [cli._SCHEMES[name].fn(p, ep).j_value / unit for name in columns]
+    weak_pdx, weak_xdp = vals[2:]
     spread = max(vals) - min(vals)
     printed = {f"{weak_pdx:.6f}", f"{weak_xdp:.6f}"}
     ok = spread <= 5e-4 and printed == {"1.018750"}

@@ -13,7 +13,6 @@ from actionvar.classical import (
     action_wr_pdx,
     action_wr_residue,
     action_wr_xdp,
-    action_wr_xdp_first_order,
     frequency_from_action,
     frequency_wr_closed,
     turning_momenta_wr,
@@ -114,9 +113,6 @@ class TestActionSho:
         for e in (0.3, 1.0, 4.7):
             assert abs(action_quadrature(spec, e) - action_sho(p, e).j_value) <= 1e-10 * e
 
-    def test_scheme_tag(self):
-        assert action_sho(natural_params(), 1.0).scheme is SchemeTag.CLASSICAL_SHO
-
 
 class TestActionQuadrature:
     @pytest.mark.parametrize(
@@ -167,6 +163,8 @@ class TestActionQuadrature:
 
 class TestActionWrPdx:
     def test_substitution(self):
+        # also table1's weakrel_xdp column: to order eps the momentum form
+        # collapses onto this coordinate form
         p, ep = params_for_eps(0.1)
         assert action_wr_pdx(p, ep).j_value == pytest.approx(1.01875, rel=1e-12)
 
@@ -223,10 +221,6 @@ class TestActionWrXdp:
         spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
         j_quad = action_quadrature(spec, 1.0)
         assert action_wr_xdp(p, ep, n_terms=8).j_value == pytest.approx(j_quad, rel=1e-9)
-
-    def test_first_order_truncation(self):
-        p, ep = params_for_eps(0.1)
-        assert action_wr_xdp_first_order(p, ep).j_value == pytest.approx(1.01875, rel=1e-12)
 
     def test_monotone_in_energy(self):
         p = natural_params(c=10.0)
@@ -319,7 +313,7 @@ class TestActionFullrel:
     def test_unknown_form_rejected(self):
         p, ep = params_for_eps(0.1)
         with pytest.raises(ParameterOutOfRange, match="form must be a fully relativistic scheme"):
-            action_fullrel(p, ep, SchemeTag.CLASSICAL_SHO)
+            action_fullrel(p, ep, "pdx")
 
     def test_too_many_terms_rejected(self):
         p, ep = params_for_eps(0.1)

@@ -70,6 +70,74 @@ class TestTable1:
         ) in out.splitlines()
 
 
+_WEAK_REL_DIAG = "#   diag: weak-rel -- ladder-basis diagonalization oracle"
+
+
+@pytest.mark.parametrize(
+    "argv, notes",
+    [
+        (
+            ["table1", "--eps", "0.01"],
+            [
+                "#   fullrel_pdx: classical-fullrel-pdx -- tabulated series in eps/(2+eps), coordinate contour",
+                "#   fullrel_xdp: classical-fullrel-xdp -- tabulated series in eps, momentum contour",
+                "#   weakrel_pdx: classical-wr-pdx -- (e/omega0)(1 + 3 eps/16)",
+                "#   weakrel_xdp: classical-wr-xdp -- momentum form truncated at order eps, "
+                "(e/omega0)(1 + 3 eps/16)",
+                "#   quadrature: full-rel -- midpoint-rule contour integral oracle",
+            ],
+        ),
+        (
+            ["table2", "--nmax", "0"],
+            [
+                "#   wr-pdx: quantum-wr-pdx -- coordinate-form first-order spectrum",
+                "#   wr-xdp: quantum-wr-xdp -- momentum-form first-order spectrum",
+                "#   jwkb: jwkb-wr -- semiclassical discretization of the classical action",
+                "#   rs: rayleigh-schrodinger -- first-order expectation value of the p^4 term",
+                _WEAK_REL_DIAG,
+            ],
+        ),
+        (
+            ["levels", "--scheme", "sho", "--nmax", "0"],
+            [
+                "#   sho: quantum-sho-pdx -- harmonic spectrum (n + 1/2) hbar omega0",
+                "#   exact: sho -- closed-form harmonic levels (n + 1/2) hbar omega0",
+            ],
+        ),
+        (
+            ["levels", "--scheme", "wr-pdx", "--nmax", "0"],
+            ["#   wr-pdx: quantum-wr-pdx -- coordinate-form first-order spectrum", _WEAK_REL_DIAG],
+        ),
+        (
+            ["levels", "--scheme", "wr-xdp", "--nmax", "0"],
+            ["#   wr-xdp: quantum-wr-xdp -- momentum-form first-order spectrum", _WEAK_REL_DIAG],
+        ),
+        (
+            ["levels", "--scheme", "jwkb", "--nmax", "0"],
+            ["#   jwkb: jwkb-wr -- semiclassical discretization of the classical action", _WEAK_REL_DIAG],
+        ),
+        (
+            ["levels", "--scheme", "rs", "--nmax", "0"],
+            ["#   rs: rayleigh-schrodinger -- first-order expectation value of the p^4 term", _WEAK_REL_DIAG],
+        ),
+        (
+            ["levels", "--scheme", "aho", "--nmax", "0", "--delta", "1e-3"],
+            [
+                "#   aho: quantum-aho-pdx -- quartic-anharmonic first-order spectrum",
+                "#   diag: quartic-aho -- ladder-basis diagonalization oracle",
+            ],
+        ),
+    ],
+)
+def test_show_scheme_block_is_pinned(capsys, argv, notes):
+    # the whole block, byte for byte, ahead of the table it describes
+    code, out, _ = run(capsys, *argv, "--show-scheme")
+    assert code == 0
+    block = "\n".join(["# column schemes:", *notes, "", ""])
+    assert out.startswith(block)
+    assert out[len(block):] == run(capsys, *argv)[1]
+
+
 class TestTable2:
     def test_default_run(self, capsys):
         code, out, _ = run(capsys, "table2", "--nmax", "4")
@@ -225,6 +293,20 @@ class TestLevels:
         code, out, err = run(capsys, "levels", "--scheme", "aho", "--nmax", "2", "--delta", delta)
         assert code == 1 and out == ""
         assert err == f"actionvar: error: delta must be finite, got {delta}\n"
+
+    def test_negative_delta_spellings_agree(self, capsys, tmp_path):
+        # argparse takes "-1e-4" after a space for a flag; these three forms all work
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = -1e-4\n")
+        argv = ["levels", "--scheme", "aho", "--nmax", "2"]
+        outs = [
+            run(capsys, *argv, "--delta=-1e-4"),
+            run(capsys, *argv, "--delta", "-0.0001"),
+            run(capsys, *argv, "--config", str(cfg)),
+        ]
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0] == 0 and outs[0][2] == ""
+        assert float(table_rows(outs[0][1])[1][0][1]) < 0.5
 
     def test_applicable_flags_do_not_warn(self, capsys):
         _, _, err = run(capsys, "levels", "--scheme", "rs", "--nmax", "1", "--ratio", "1e-3")

@@ -14,7 +14,6 @@ from actionvar.core import (
     EPSILON_HARD_LIMIT,
     EnergyPoint,
     ParameterOutOfRange,
-    SchemeTag,
     WeakRegimeWarning,
     energy_point,
     make_params,
@@ -108,16 +107,6 @@ class TestWeakRegimeGate:
         assert not recwarn.list
 
 
-class TestSchemeTag:
-    def test_twelve_schemes(self):
-        assert len(SchemeTag) == 12
-
-    def test_values_are_stable_strings(self):
-        assert SchemeTag.CLASSICAL_WR_PDX.value == "classical-wr-pdx"
-        assert SchemeTag.RAYLEIGH_SCHRODINGER.value == "rayleigh-schrodinger"
-        assert SchemeTag.JWKB_WR.value == "jwkb-wr"
-
-
 class TestErrorTaxonomy:
     """One error class per remedy open to the caller."""
 
@@ -154,6 +143,14 @@ def test_every_exported_name_resolves(module):
     mod = actionvar if module == "__init__" else importlib.import_module(f"actionvar.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{mod.__name__}.__all__ names {missing}, which it does not define"
+    if mod is not actionvar:
+        # a submodule lists only what it defines; re-exports belong to the package
+        borrowed = [
+            name
+            for name in mod.__all__
+            if callable(obj := getattr(mod, name)) and obj.__module__ != mod.__name__
+        ]
+        assert not borrowed, f"{mod.__name__}.__all__ re-exports {borrowed}"
 
 
 def test_runtime_imports_are_stdlib_numpy_or_own():

@@ -12,7 +12,6 @@ from actionvar.core import (
     BasisNotConverged,
     NotConverged,
     ParameterOutOfRange,
-    SchemeTag,
     energy_point,
     make_params,
     natural_params,
@@ -389,10 +388,6 @@ class TestJwkb:
             entry = jwkb_levels_wr(p, n)
             first_order = -(3.0 / 16.0) * (n + 0.5) ** 2 * 0.01
             assert abs(entry.correction - first_order) < 5.0 * 0.01**2 * (n + 0.5) ** 3
-
-    def test_scheme_tag(self):
-        p = natural_params(c=10.0)
-        assert jwkb_levels_wr(p, 1).scheme is SchemeTag.JWKB_WR
 
 
 class TestOracleCrossChecks:

@@ -14,7 +14,6 @@ from actionvar.classical import action_wr_pdx, action_wr_residue
 from actionvar.core import (
     OrderInsufficient,
     ParameterOutOfRange,
-    SchemeTag,
     WeakRegimeWarning,
     energy_point,
     make_params,
