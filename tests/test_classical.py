@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from actionvar import cli
 from actionvar.classical import (
     action_fullrel,
     action_quadrature,
@@ -163,8 +164,6 @@ class TestActionQuadrature:
 
 class TestActionWrPdx:
     def test_substitution(self):
-        # also table1's weakrel_xdp column: to order eps the momentum form
-        # collapses onto this coordinate form
         p, ep = params_for_eps(0.1)
         assert action_wr_pdx(p, ep).j_value == pytest.approx(1.01875, rel=1e-12)
 
@@ -221,6 +220,12 @@ class TestActionWrXdp:
         spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, p)
         j_quad = action_quadrature(spec, 1.0)
         assert action_wr_xdp(p, ep, n_terms=8).j_value == pytest.approx(j_quad, rel=1e-9)
+
+    def test_first_order_truncation(self):
+        # the momentum form cut at order eps, as table1's weakrel_xdp column computes it
+        p, ep = params_for_eps(0.1)
+        first_order = cli._SCHEMES["weakrel_xdp"].fn(p, ep).j_value
+        assert first_order == pytest.approx(1.01875, rel=1e-12)
 
     def test_monotone_in_energy(self):
         p = natural_params(c=10.0)
