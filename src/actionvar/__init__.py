@@ -7,7 +7,6 @@ perturbation-theory oracles.
 """
 
 from .classical import (
-    TurningPoints,
     action_fullrel,
     action_quadrature,
     action_sho,
@@ -16,8 +15,6 @@ from .classical import (
     action_wr_xdp,
     frequency_from_action,
     frequency_wr_closed,
-    turning_momenta_wr,
-    turning_points_wr,
 )
 from .core import (
     ActionResult,
@@ -69,7 +66,6 @@ __all__ = [
     "RiccatiSolution",
     "SchemeTag",
     "SpectrumEntry",
-    "TurningPoints",
     "WeakRegimeWarning",
     "action_fullrel",
     "action_quadrature",
@@ -98,7 +94,5 @@ __all__ = [
     "riccati_xdp",
     "rk4_period",
     "rs_shift_p4",
-    "turning_momenta_wr",
-    "turning_points_wr",
     "wr_correction_pdx",
 ]

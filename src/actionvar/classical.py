@@ -3,8 +3,8 @@
 Each regime exposes the action J(E) in one or both of its two contour
 forms: the coordinate form (1/2pi) closed-integral p dx and the momentum
 form -(1/2pi) closed-integral x dp.  Both are evaluated from closed-form
-series; an independent quadrature path lives here too because it shares
-the turning-point machinery, while trajectory oracles live in oracles.
+series.  The independent quadrature path lives here too; it reads the
+orbit from oracles.HamiltonianSpec, and trajectory oracles live there.
 
 Sign convention: contour orientations are fixed once so that every action
 comes out positive and reduces to e/omega0 in the non-relativistic limit.
@@ -12,9 +12,7 @@ comes out positive and reduces to e/omega0 in the non-relativistic limit.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,13 +28,10 @@ from .core import (
     energy_point,
     require_weak_regime,
 )
-from .laurent import DEFAULT_EXTRA_ORDERS, LaurentSeries, binomial_sqrt
+from .laurent import DEFAULT_EXTRA_ORDERS, LaurentSeries, binomial_sqrt, sqrt_coefficients
 from .oracles import HamiltonianKind, HamiltonianSpec
 
 __all__ = [
-    "TurningPoints",
-    "turning_points_wr",
-    "turning_momenta_wr",
     "action_sho",
     "action_wr_pdx",
     "action_wr_xdp",
@@ -47,55 +42,6 @@ __all__ = [
     "frequency_from_action",
     "frequency_wr_closed",
 ]
-
-
-@dataclass(frozen=True)
-class TurningPoints:
-    """Branch points of the momentum function in one complex plane.
-
-    The physical pair is real and symmetric about the origin; the
-    unphysical pair bounds the annulus on which the series expansions
-    converge.  domain says which plane the values live in.
-    """
-
-    physical: tuple[float, float]
-    unphysical: tuple[complex, complex]
-    domain: str  # "coordinate-plane" | "momentum-plane"
-    first_order_p2: float | None = None
-
-
-def turning_points_wr(params: OscillatorParams, ep: EnergyPoint) -> TurningPoints:
-    """Coordinate-plane turning points of the weakly relativistic orbit.
-
-    x2 = sqrt(2 e/k) is the physical turning point; the extra pair sits at
-    x4 = x2 sqrt(1 - 1/(2 eps)), purely imaginary for eps < 1/2.
-    """
-    require_weak_regime(ep, "turning_points_wr")
-    x2 = math.sqrt(2.0 * ep.e_tilde / params.k)
-    x4 = x2 * cmath.sqrt(1.0 - 1.0 / (2.0 * ep.epsilon))
-    return TurningPoints(physical=(-x2, x2), unphysical=(-x4, x4), domain="coordinate-plane")
-
-
-def turning_momenta_wr(params: OscillatorParams, ep: EnergyPoint) -> TurningPoints:
-    """Momentum-plane branch points of the weakly relativistic orbit.
-
-    p2 = sqrt(2) m c [1 - (1 - 2 eps)^(1/2)]^(1/2) exactly; the outer pair
-    carries the conjugate radical, p4 = sqrt(2) m c [1 + (1-2 eps)^(1/2)]^(1/2),
-    so that |p4| > p2 and the annulus p2 < |p| < p4 exists.  The
-    first-order form sqrt(2 m e)(1 + eps/4) is reported alongside.
-    """
-    require_weak_regime(ep, "turning_momenta_wr")
-    mc = params.m * params.c
-    q = math.sqrt(1.0 - 2.0 * ep.epsilon)
-    p2 = math.sqrt(2.0) * mc * math.sqrt(1.0 - q)
-    p4 = math.sqrt(2.0) * mc * math.sqrt(1.0 + q)
-    first = math.sqrt(2.0 * params.m * ep.e_tilde) * (1.0 + ep.epsilon / 4.0)
-    return TurningPoints(
-        physical=(-p2, p2),
-        unphysical=(complex(-p4), complex(p4)),
-        domain="momentum-plane",
-        first_order_p2=first,
-    )
 
 
 def action_sho(params: OscillatorParams, e: float) -> ActionResult:
@@ -113,15 +59,6 @@ def action_wr_pdx(params: OscillatorParams, ep: EnergyPoint) -> ActionResult:
     return ActionResult((ep.e_tilde / params.omega0) * (1.0 + 3.0 * ep.epsilon / 16.0))
 
 
-# Coefficients c_j of sqrt(1 - u) = sum_j c_j u^j; the momentum-form series
-# coefficients below are g_0 = 1, g_l = -2 c_{l+1} c_l.
-def _sqrt_binomials(n: int) -> list[float]:
-    c = [1.0]
-    for j in range(1, n + 1):
-        c.append(c[-1] * (j - 1.5) / j)
-    return c
-
-
 def action_wr_xdp(
     params: OscillatorParams, ep: EnergyPoint, n_terms: int = 4
 ) -> ActionResult:
@@ -136,7 +73,8 @@ def action_wr_xdp(
         raise ParameterOutOfRange(f"n_terms must be >= 1, got {n_terms}")
     q = math.sqrt(1.0 - 2.0 * ep.epsilon)
     rho = (1.0 - q) / (1.0 + q)
-    c = _sqrt_binomials(n_terms)
+    # Bracket term l is -2 c_{l+1} c_l rho^l, c_j the sqrt(1 - u) coefficients.
+    c = sqrt_coefficients(n_terms)
     bracket = 1.0
     rho_pow = 1.0
     for l in range(1, n_terms):

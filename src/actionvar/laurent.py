@@ -23,6 +23,7 @@ from .core import OrderInsufficient, ParameterOutOfRange
 __all__ = [
     "LaurentSeries",
     "binomial_sqrt",
+    "sqrt_coefficients",
     "DEFAULT_EXTRA_ORDERS",
 ]
 
@@ -170,6 +171,18 @@ def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(out, lo)
 
 
+def sqrt_coefficients(order: int) -> list[float]:
+    """Coefficients c_0..c_order of sqrt(1 - u) = sum_j c_j u^j.
+
+    c_j = binom(1/2, j) (-1)^j by c_j = c_(j-1) (j - 3/2) / j, exact
+    dyadic rationals while their numerators fit a double.
+    """
+    c = [1.0]
+    for j in range(1, order + 1):
+        c.append(c[-1] * (j - 1.5) / j)
+    return c
+
+
 def binomial_sqrt(u: LaurentSeries, order: int) -> LaurentSeries:
     """sqrt(1 - u) as sum_j binom(1/2, j) (-u)**j, j = 0..order.
 
@@ -187,9 +200,7 @@ def binomial_sqrt(u: LaurentSeries, order: int) -> LaurentSeries:
     one = LaurentSeries.term(0, 1.0)
     result = one
     u_pow = one
-    coeff = 1.0  # binom(1/2, j) * (-1)^j
-    for j in range(1, order + 1):
-        coeff *= -(0.5 - (j - 1)) / j
+    for coeff in sqrt_coefficients(order)[1:]:
         u_pow = u_pow * u
         result = result + u_pow.scaled(coeff)
 

@@ -22,7 +22,6 @@ from .core import (
     ParameterOutOfRange,
     SpectrumEntry,
 )
-from .rootfind import increasing_root
 
 __all__ = [
     "HamiltonianKind",
@@ -410,17 +409,14 @@ def jwkb_levels_wr(params: OscillatorParams, n: int) -> SpectrumEntry:
     """Semiclassical level from discretizing the weak-relativistic action.
 
     Solves (e/omega0) [1 + 3 eps / 16] = (n + 1/2) hbar for e, where
-    eps = e / m c^2.
+    eps = e / m c^2.  With e0 = (n + 1/2) hbar omega0 and
+    s = sqrt(1 + (3/4) e0 / m c^2), the root of this quadratic is
+    e = 2 e0 / (1 + s), and the correction e - e0 is formed without
+    cancellation as -(3/4) e0^2 / (m c^2 (1 + s)^2).
     """
     if n < 0:
         raise ParameterOutOfRange(f"n must be >= 0, got {n}")
-    hbar, w0 = params.hbar, params.omega0
     mc2 = params.rest_energy
-    target = (n + 0.5) * hbar
-
-    def f(e: float) -> float:
-        return (e / w0) * (1.0 + 3.0 * e / (16.0 * mc2)) - target
-
-    e0 = (n + 0.5) * hbar * w0
-    energy = increasing_root(f, 0.5 * e0, 1.5 * e0, f_tol=1e-14 * max(target, 1.0))
-    return SpectrumEntry(energy, energy - e0)
+    e0 = (n + 0.5) * params.hbar * params.omega0
+    s = math.sqrt(1.0 + 0.75 * e0 / mc2)
+    return SpectrumEntry(2.0 * e0 / (1.0 + s), -0.75 * e0 * e0 / (mc2 * (1.0 + s) ** 2))

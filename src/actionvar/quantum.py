@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .core import (
     ActionResult,
@@ -76,16 +77,34 @@ class RiccatiSolution:
         return _residual_norm(self.coefficients, self.hbar_term, self.rhs)
 
 
-def _riccati_series(
-    lead_sq: float, lead_sign: complex, rhs_const: complex, hbar_term: float, order: int
-) -> list[complex]:
+def _residual_norm(
+    s: LaurentSeries, hbar_term: float, rhs: LaurentSeries
+) -> float:
+    square = s * s
+    eq = s.derivative().scaled(-1j * hbar_term) + square - rhs
+    scale = max(rhs.max_abs(), square.max_abs(), 1e-300)
+    return eq.max_abs() / scale
+
+
+def _riccati(
+    params: OscillatorParams,
+    e: float,
+    order: int,
+    lead_sq: float,
+    lead_sign: complex,
+    rhs_const: float,
+    hbar_term: float,
+) -> RiccatiSolution:
     """Shared recurrence for both Riccati forms.
 
-    Solves sign_h * i*hbar * ds/dv + s^2 = rhs_const + lead_sq * v^2 for
-    s = sum_{j>=1} b_j v^(3-2j); hbar_term is sign_h * hbar.  lead_sq is
-    the (negative) square of the leading coefficient; lead_sign picks the
-    branch satisfying the classical boundary condition.
+    Solves -i hbar_term ds/dv + s^2 = lead_sq v^2 + rhs_const for
+    s = sum_{j>=1} b_j v^(3-2j), trusted down to v^(3 - 2 order).
+    lead_sq is the (negative) square of b1; lead_sign picks the branch
+    satisfying the classical boundary condition.
     """
+    energy_point(params, e)
+    if order < 2:
+        raise OrderInsufficient(f"order must be >= 2, got {order}")
     b1 = lead_sign * 1j * math.sqrt(abs(lead_sq))
     if b1 == 0:
         raise ParameterOutOfRange("leading coefficient vanished")
@@ -98,21 +117,11 @@ def _riccati_series(
                 acc -= b[i] * b[j]
         acc += 1j * hbar_term * (3 - 2 * (n - 2)) * b[n - 2]
         b.append(acc / (2.0 * b1))
-    return b
-
-
-def _series_from_coeffs(b: list[complex], order: int) -> LaurentSeries:
-    coeffs = {3 - 2 * j: b[j] for j in range(1, order + 1)}
-    return LaurentSeries(coeffs, trunc_low=3 - 2 * order)
-
-
-def _residual_norm(
-    s: LaurentSeries, hbar_term: float, rhs: LaurentSeries
-) -> float:
-    square = s * s
-    eq = s.derivative().scaled(-1j * hbar_term) + square - rhs
-    scale = max(rhs.max_abs(), square.max_abs(), 1e-300)
-    return eq.max_abs() / scale
+    series = LaurentSeries(
+        {3 - 2 * j: b[j] for j in range(1, order + 1)}, trunc_low=3 - 2 * order
+    )
+    rhs = LaurentSeries({2: lead_sq, 0: rhs_const})
+    return RiccatiSolution(coefficients=series, hbar_term=hbar_term, rhs=rhs)
 
 
 def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSolution:
@@ -122,14 +131,8 @@ def riccati_pdx(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     p = sum b_j x^(3-2j); b1 = +i sqrt(mk) fixes the physical branch and
     b2 = -i sqrt(m/k) E + i hbar / 2.
     """
-    energy_point(params, e)
-    if order < 2:
-        raise OrderInsufficient(f"order must be >= 2, got {order}")
-    m, k, hbar = params.m, params.k, params.hbar
-    b = _riccati_series(-m * k, +1, 2.0 * m * e, hbar, order)
-    series = _series_from_coeffs(b, order)
-    rhs = LaurentSeries({2: -m * k, 0: 2.0 * m * e})
-    return RiccatiSolution(coefficients=series, hbar_term=hbar, rhs=rhs)
+    m, k = params.m, params.k
+    return _riccati(params, e, order, -m * k, +1, 2.0 * m * e, params.hbar)
 
 
 def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSolution:
@@ -139,14 +142,8 @@ def riccati_xdp(params: OscillatorParams, e: float, order: int = 8) -> RiccatiSo
     x = sum b'_j p^(3-2j); b'1 = -i / sqrt(mk) and
     b'2 = -i (hbar/2 - E/omega0).
     """
-    energy_point(params, e)
-    if order < 2:
-        raise OrderInsufficient(f"order must be >= 2, got {order}")
-    m, k, hbar = params.m, params.k, params.hbar
-    b = _riccati_series(-1.0 / (m * k), -1, 2.0 * e / k, -hbar, order)
-    series = _series_from_coeffs(b, order)
-    rhs = LaurentSeries({2: -1.0 / (m * k), 0: 2.0 * e / k})
-    return RiccatiSolution(coefficients=series, hbar_term=-hbar, rhs=rhs)
+    m, k = params.m, params.k
+    return _riccati(params, e, order, -1.0 / (m * k), -1, 2.0 * e / k, -params.hbar)
 
 
 def quantum_action_sho(
@@ -216,22 +213,16 @@ def _wr_correction_rhs(p0: LaurentSeries, params: OscillatorParams, e: float) ->
     return quartic - bracket.scaled(hbar / (m * e))
 
 
-def _wr_correction_layer(
-    params: OscillatorParams, ep: EnergyPoint, n_coeffs: int = 3
+def _correction_layer(
+    params: OscillatorParams,
+    e: float,
+    source: Callable[[LaurentSeries, OscillatorParams, float], LaurentSeries],
+    n_coeffs: int,
 ) -> tuple[LaurentSeries, list[complex]]:
-    order = n_coeffs + DEFAULT_EXTRA_ORDERS
-    p0 = riccati_pdx(params, ep.e_tilde, order=order).coefficients
-    rhs = _wr_correction_rhs(p0, params, ep.e_tilde)
+    """P0 and u_0..u_(n_coeffs-1) of the first-order layer source drives."""
+    p0 = riccati_pdx(params, e, order=n_coeffs + DEFAULT_EXTRA_ORDERS).coefficients
+    rhs = source(p0, params, e)
     return p0, _solve_correction_layer(p0, rhs, params.hbar, n_coeffs)
-
-
-def _aho_correction_layer(
-    params: OscillatorParams, e: float
-) -> tuple[LaurentSeries, list[complex]]:
-    """P0 and u_0..u_2 of the delta^1 correction layer, driven by -2 m x^4."""
-    p0 = riccati_pdx(params, e, order=3 + DEFAULT_EXTRA_ORDERS).coefficients
-    rhs = LaurentSeries.term(4, -2.0 * params.m)
-    return p0, _solve_correction_layer(p0, rhs, params.hbar, 3)
 
 
 def wr_correction_pdx(params: OscillatorParams, ep: EnergyPoint) -> tuple[float, float]:
@@ -259,7 +250,7 @@ def wr_correction_derived(
     the opposite slots; tests document this.
     """
     require_weak_regime(ep, "wr_correction_derived")
-    p0, u = _wr_correction_layer(params, ep, n_coeffs=2)
+    p0, u = _correction_layer(params, ep.e_tilde, _wr_correction_rhs, 2)
     x2sq = 2.0 * ep.e_tilde / params.k
     b1c = p0.coefficient(1)
     b2c = p0.coefficient(-1)
@@ -296,7 +287,7 @@ def quantum_action_wr_pdx_derived(
     from the correction-layer recurrence rather than the closed series.
     """
     require_weak_regime(ep, "quantum_action_wr_pdx_derived")
-    p0, u = _wr_correction_layer(params, ep, n_coeffs=3)
+    p0, u = _correction_layer(params, ep.e_tilde, _wr_correction_rhs, 3)
     res = p0.coefficient(-1) + ep.epsilon * u[2]
     return ActionResult(_real(1j * res))
 
@@ -369,7 +360,8 @@ def eigenvalues_wr_pdx(params: OscillatorParams, n: int) -> SpectrumEntry:
         raise ParameterOutOfRange(f"n must be >= 0, got {n}")
     hw = params.hbar * params.omega0
     r = params.level_ratio
-    correction = -(3.0 / 16.0) * ((n + 5.0 / 3.0) ** 2 - 25.0 / 9.0) * r * hw
+    # (n + 5/3)^2 - 25/9 = n (n + 10/3); the leading 0.0 makes n = 0 exactly +0.0.
+    correction = 0.0 - (3.0 / 16.0) * n * (n + 10.0 / 3.0) * r * hw
     _flag_large_correction(correction, n, params, "eigenvalues_wr_pdx")
     return SpectrumEntry((n + 0.5) * hw + correction, correction)
 
@@ -417,6 +409,11 @@ def aho_coeffs(
     return 1.0, 1.0 + lam, 1.0 - 1.5 * lam + 2.0 * lam * lam, lam
 
 
+def _aho_correction_rhs(p0: LaurentSeries, params: OscillatorParams, e: float) -> LaurentSeries:
+    """Source term -2 m x^4 driving the delta^1 quartic correction layer."""
+    return LaurentSeries.term(4, -2.0 * params.m)
+
+
 def aho_coeffs_derived(
     params: OscillatorParams, e: float, delta: float
 ) -> tuple[float, float, float, float]:
@@ -427,7 +424,7 @@ def aho_coeffs_derived(
     u_l = (1/k) sum_{j + l' = l + 1} b_j D_l' t^l' with t = x2^2.
     """
     energy_point(params, e)
-    p0, u = _aho_correction_layer(params, e)
+    p0, u = _correction_layer(params, e, _aho_correction_rhs, 3)
     k = params.k
     t = 2.0 * e / k
     b1, b2, b3 = (p0.coefficient(1), p0.coefficient(-1), p0.coefficient(-3))
@@ -460,7 +457,7 @@ def quantum_action_aho_residue(
 ) -> ActionResult:
     """Anharmonic action assembled from the x^(-1) residue b2 + delta u_2."""
     energy_point(params, e)
-    p0, u = _aho_correction_layer(params, e)
+    p0, u = _correction_layer(params, e, _aho_correction_rhs, 3)
     return ActionResult(_real(1j * (p0.coefficient(-1) + delta * u[2])))
 
 

@@ -16,8 +16,6 @@ from actionvar.classical import (
     action_wr_xdp,
     frequency_from_action,
     frequency_wr_closed,
-    turning_momenta_wr,
-    turning_points_wr,
     wr_momentum_series,
 )
 from actionvar.core import (
@@ -36,69 +34,6 @@ def params_for_eps(eps: float, e_tilde: float = 1.0):
     """Natural units m=k=1 with c chosen so e_tilde maps to the given eps."""
     c = math.sqrt(e_tilde / eps)
     return natural_params(c=c), energy_point(natural_params(c=c), e_tilde)
-
-
-class TestTurningPoints:
-    def test_physical_pair(self):
-        p, ep = params_for_eps(0.01)
-        tp = turning_points_wr(p, ep)
-        assert tp.physical == pytest.approx((-math.sqrt(2.0), math.sqrt(2.0)))
-        assert tp.domain == "coordinate-plane"
-
-    def test_unphysical_pair_is_imaginary(self):
-        p, ep = params_for_eps(0.1)
-        tp = turning_points_wr(p, ep)
-        x4 = tp.unphysical[1]
-        assert x4.real == pytest.approx(0.0, abs=1e-14)
-        assert x4.imag == pytest.approx(2.0 * math.sqrt(2.0))
-        assert abs(x4) > tp.physical[1]
-
-    def test_x4_shrinks_toward_half(self):
-        p1, ep1 = params_for_eps(0.3)
-        p2, ep2 = params_for_eps(0.45)
-        with pytest.warns(WeakRegimeWarning):
-            a = abs(turning_points_wr(p1, ep1).unphysical[1])
-        with pytest.warns(WeakRegimeWarning):
-            b = abs(turning_points_wr(p2, ep2).unphysical[1])
-        assert b < a
-
-    def test_hard_limit(self):
-        p = make_params(1.0, 1.0, 1.0, 1.0)
-        ep = energy_point(p, 0.5)
-        with pytest.raises(ParameterOutOfRange, match="branch points reach the real axis"):
-            turning_points_wr(p, ep)
-
-
-class TestTurningMomenta:
-    def test_exact_value(self):
-        p, ep = params_for_eps(0.01)
-        tm = turning_momenta_wr(p, ep)
-        exact = math.sqrt(2.0) * 10.0 * math.sqrt(1.0 - math.sqrt(0.98))
-        assert tm.physical[1] == pytest.approx(exact, rel=1e-12)
-        assert tm.physical[1] == pytest.approx(1.41778, abs=5e-6)
-
-    def test_first_order_form_close(self):
-        p, ep = params_for_eps(0.01)
-        tm = turning_momenta_wr(p, ep)
-        assert tm.first_order_p2 == pytest.approx(math.sqrt(2.0) * 1.0025, rel=1e-12)
-        assert abs(tm.first_order_p2 - tm.physical[1]) < 1.0 * 0.01**2
-
-    def test_nonrelativistic_limit(self):
-        p, ep = params_for_eps(1e-8)
-        tm = turning_momenta_wr(p, ep)
-        assert tm.physical[1] == pytest.approx(math.sqrt(2.0), rel=1e-7)
-
-    def test_outer_pair_larger(self):
-        p, ep = params_for_eps(0.05)
-        tm = turning_momenta_wr(p, ep)
-        assert abs(tm.unphysical[1]) > tm.physical[1]
-
-    def test_branch_ratio_near_half_eps(self):
-        # (p2/p4)^2 ~ eps/2 for small eps
-        p, ep = params_for_eps(0.01)
-        tm = turning_momenta_wr(p, ep)
-        rho = (tm.physical[1] / abs(tm.unphysical[1])) ** 2
-        assert rho == pytest.approx(0.005, rel=0.02)
 
 
 class TestActionSho:

@@ -246,6 +246,13 @@ class TestLevels:
         _, rows = table_rows(out)
         assert all(row[5] == "False" for row in rows)
 
+    def test_wr_pdx_ground_state_correction_prints_zero(self, capsys):
+        # n (n + 10/3) vanishes exactly at n = 0, so no rounding residue shows
+        code, out, _ = run(capsys, "levels", "--scheme", "wr-pdx", "--nmax", "0")
+        assert code == 0
+        _, rows = table_rows(out)
+        assert rows[0][:3] == ["0", "0.5", "0"]
+
     def test_aho_scheme_uses_delta(self, capsys):
         code, out, _ = run(
             capsys, "levels", "--scheme", "aho", "--nmax", "2", "--delta", "0.001"

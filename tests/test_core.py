@@ -91,9 +91,10 @@ class TestEnergyPoint:
 class TestWeakRegimeGate:
     def test_hard_limit_raises(self):
         p = make_params(1.0, 1.0, 1.0, 1.0)
-        ep = energy_point(p, EPSILON_HARD_LIMIT + 0.01)
-        with pytest.raises(ParameterOutOfRange, match="branch points reach the real axis"):
-            require_weak_regime(ep, "test")
+        for eps in (EPSILON_HARD_LIMIT, EPSILON_HARD_LIMIT + 0.01):
+            ep = energy_point(p, eps)
+            with pytest.raises(ParameterOutOfRange, match="branch points reach the real axis"):
+                require_weak_regime(ep, "test")
 
     def test_soft_limit_warns(self):
         p = make_params(1.0, 1.0, 1.0, 1.0)

@@ -1,6 +1,7 @@
 """Laurent series arithmetic, truncation windows, and residue rules."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from actionvar.core import OrderInsufficient, ParameterOutOfRange
 from actionvar.laurent import (
     LaurentSeries,
     binomial_sqrt,
+    sqrt_coefficients,
 )
 
 coeffs_strategy = st.dictionaries(
@@ -159,6 +161,18 @@ class TestBinomial:
         assert s.coefficient(-4) == pytest.approx(-0.125)
         assert s.coefficient(-6) == pytest.approx(-1.0 / 16.0)
         assert s.coefficient(-8) == pytest.approx(-5.0 / 128.0)
+
+    def test_shared_coefficients_are_the_exact_binomials(self):
+        # c_j = binom(1/2, j) (-1)^j as exact rationals; binomial_sqrt and
+        # classical.action_wr_xdp both read these values
+        c = sqrt_coefficients(12)
+        s = binomial_sqrt(LaurentSeries.term(-1, 1.0), 12)
+        for j in range(13):
+            binom = Fraction(1)
+            for i in range(j):
+                binom *= (Fraction(1, 2) - i) / (i + 1)
+            assert Fraction(c[j]) == binom * (-1) ** j
+            assert s.coefficient(-j) == c[j]
 
     def test_window_set_by_omitted_tail(self):
         u = LaurentSeries.term(-2, 1.0)

@@ -1,6 +1,7 @@
 """Brute-force oracles: trajectories, diagonalization, perturbation theory."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -381,6 +382,20 @@ class TestJwkb:
         p = natural_params(c=10.0)
         entry = jwkb_levels_wr(p, 0)
         assert entry.correction == pytest.approx(-4.6875e-4, abs=2e-6)
+
+    def test_correction_is_the_exact_root_at_small_ratio(self):
+        # (3/(16 m c^2)) e^2 + e - e0 = 0 solved in 50-digit decimals; the
+        # correction e - e0 is 5 digits below e, so a float root that
+        # differences e and e0 would lose them
+        p = natural_params(c=math.sqrt(1e5))
+        for n in range(64):
+            e0 = (n + 0.5) * p.hbar * p.omega0
+            with localcontext(prec=50):
+                a = Decimal(3) / (16 * Decimal(p.rest_energy))
+                root = (-1 + (1 + 4 * a * Decimal(e0)).sqrt()) / (2 * a)
+                exact = float(root - Decimal(e0))
+            correction = jwkb_levels_wr(p, n).correction
+            assert abs(correction - exact) <= 1e-14 * abs(exact), n
 
     def test_matches_first_order_closed_form(self):
         p = natural_params(c=10.0)
