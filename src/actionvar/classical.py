@@ -29,7 +29,7 @@ from .core import (
     require_weak_regime,
 )
 from .laurent import DEFAULT_EXTRA_ORDERS, LaurentSeries, binomial_sqrt, sqrt_coefficients
-from .oracles import HamiltonianKind, HamiltonianSpec
+from .oracles import HamiltonianSpec
 
 __all__ = [
     "action_sho",

@@ -322,10 +322,12 @@ def quantum_action_wr_xdp(params: OscillatorParams, ep: EnergyPoint) -> ActionRe
 
 
 def invert_action(j_of_e, n: int, params: OscillatorParams) -> float:
-    """Energy solving J(E) = n hbar by bracketed root finding.
+    """Energy solving J(E) = n hbar.
 
-    The bracket starts at [0.5, 1.5] times the harmonic estimate
-    (n + 1/2) hbar omega0 and expands geometrically if needed.
+    The search starts at the harmonic level (n + 1/2) hbar omega0 with the
+    harmonic slope dJ/dE = 1/omega0 (= T/2 pi).  A correction of relative
+    size r to the harmonic action moves the slope by O(r) too, so the first
+    Newton step leaves only O(r) of the starting residual.
     """
     if n < 0:
         raise ParameterOutOfRange(f"n must be >= 0, got {n}")
@@ -336,7 +338,7 @@ def invert_action(j_of_e, n: int, params: OscillatorParams) -> float:
         return j_of_e(e) - target
 
     e0 = (n + 0.5) * hbar * params.omega0
-    return increasing_root(f, 0.5 * e0, 1.5 * e0, f_tol=1e-12 * max(hbar, 1e-30))
+    return increasing_root(f, e0, 1.0 / params.omega0, f_tol=1e-12 * max(hbar, 1e-30))
 
 
 def _flag_large_correction(correction: float, n: int, params: OscillatorParams, where: str) -> None:

@@ -1,10 +1,8 @@
 """Command-line surface: subcommands, config layering, exit codes."""
 
-import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +10,7 @@ import pytest
 import actionvar
 from actionvar import cli, oracles
 from actionvar.cli import main
-from actionvar.core import ConfigInvalid, IoFailure, NotConverged, WeakRegimeWarning
+from actionvar.core import ConfigInvalid, IoFailure, NotConverged
 
 
 def run(capsys, *argv):

@@ -168,3 +168,27 @@ def test_runtime_imports_are_stdlib_numpy_or_own():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        *sorted(p for p in (_ROOT / "src" / "actionvar").glob("*.py") if p.name != "__init__.py"),
+        *sorted((_ROOT / "tests").glob("*.py")),
+    ],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    # the package __init__ imports names only to re-export them
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - read, f"{path.name} never reads {sorted(imported - read)}"

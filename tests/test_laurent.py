@@ -1,6 +1,5 @@
 """Laurent series arithmetic, truncation windows, and residue rules."""
 
-import math
 from fractions import Fraction
 
 import pytest

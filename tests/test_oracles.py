@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actionvar.classical import action_fullrel, action_quadrature, frequency_from_action
+from actionvar.classical import action_quadrature, frequency_from_action
 from actionvar.core import (
     BasisNotConverged,
     NotConverged,

@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from actionvar.classical import action_wr_pdx, action_wr_residue
@@ -351,7 +352,7 @@ _RESIDUE_PINS = {
         "aho_residue": {1e-4: 2.798329, -1e-4: 2.801671},
         "wr_correction_derived": (1.5303030303030305, 1.0),
         "aho_coeffs_derived": (1.0, 1.0757575757575757, 0.8978420569329659, 0.07575757575757576),
-        "root": 3.4997656557565904,
+        "root": 3.499765655756652,
         "residual_norm": 4.779176188847847e-17,
     },
     37.0: {
@@ -359,7 +360,7 @@ _RESIDUE_PINS = {
         "aho_residue": {1e-4: 36.2946125, -1e-4: 36.7053875},
         "wr_correction_derived": (1.0472972972972974, 1.0),
         "aho_coeffs_derived": (1.0, 1.0067567567567568, 0.9899561723886048, 0.006756756756756757),
-        "root": 36.475049763963185,
+        "root": 36.47504976396343,
         "residual_norm": 1.5342833557127803e-15,
     },
 }
@@ -386,13 +387,28 @@ class TestResiduePathPinnedBitForBit:
     def test_aho_coeffs_derived(self, e, delta):
         assert aho_coeffs_derived(self.params, e, delta) == _RESIDUE_PINS[e]["aho_coeffs_derived"]
 
-    def test_root_of_the_derived_action(self, e):
+    def _root(self, e):
         p = self.params
 
         def j(energy):
             return quantum_action_wr_pdx_derived(p, energy_point(p, energy)).j_value
 
-        assert invert_action(j, round(e - 0.5), p) == _RESIDUE_PINS[e]["root"]
+        return invert_action(j, round(e - 0.5), p)
+
+    def test_root_of_the_derived_action(self, e):
+        assert self._root(e) == _RESIDUE_PINS[e]["root"]
+
+    def test_root_meets_the_exact_root_of_the_derived_action(self, e):
+        # the derived action is E - 1/2 + (3/16) r (E^2 + 1/4), r = 1/c^2, so
+        # J(E) = n is the quadratic a E^2 + E - b = 0; solve it to 50 digits
+        n = round(e - 0.5)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            r = 1 / Decimal(self.params.c) ** 2
+            a, b = 3 * r / 16, n + Decimal("0.5") - 3 * r / 64
+            exact = 2 * b / (1 + (1 + 4 * a * b).sqrt())
+            gap = abs(Decimal(self._root(e)) - exact) / exact
+        assert gap <= Decimal("1e-13")
 
     def test_riccati_residual_norm(self, e):
         norm = riccati_pdx(self.params, e, order=11).residual_norm
@@ -449,20 +465,37 @@ class TestInvertAction:
         closed = eigenvalues_wr_pdx(p, 1).energy
         assert abs(e1 - closed) < 5.0 * 0.01**2
 
-    def test_round_trip(self):
+    @given(scheme=st.sampled_from(["sho", "wr-pdx", "wr-xdp", "aho"]), n=st.integers(0, 63))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip(self, scheme, n):
+        # the wr-pdx series needs eps = E / m c^2 < 1/2, so E < 50 at c = 10
+        assume(scheme != "wr-pdx" or n < 50)
         p = natural_params(c=10.0)
-        schemes = {
+        j = {
             "sho": lambda e: quantum_action_sho(p, e).j_value,
             "wr-pdx": lambda e: quantum_action_wr_pdx(p, energy_point(p, e)).j_value,
             "wr-xdp": lambda e: quantum_action_wr_xdp(p, energy_point(p, e)).j_value,
             "aho": lambda e: quantum_action_aho(p, e, 1e-4).j_value,
-        }
+        }[scheme]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakRegimeWarning)
-            for j in schemes.values():
-                for n in (0, 3, 11, 20):
-                    e = invert_action(j, n, p)
-                    assert abs(j(e) - n * 1.0) <= 1e-12
+            e = invert_action(j, n, p)
+            assert abs(j(e) - n * 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n_max, most", [(4, 3), (100, 4)])
+    def test_action_evaluations_per_root(self, n_max, most):
+        # the residue levels n = round(E - 1/2) for E in [0.5, 4.5] and in
+        # [0.5, 100]: the harmonic Newton start leaves a secant step or two
+        p = natural_params(c=100.0)
+        for n in range(n_max + 1):
+            calls = []
+
+            def j(e):
+                calls.append(e)
+                return quantum_action_wr_pdx_derived(p, energy_point(p, e)).j_value
+
+            invert_action(j, n, p)
+            assert len(calls) <= most, f"n = {n}: {len(calls)} evaluations"
 
 
 class TestEigenvaluesWr:
