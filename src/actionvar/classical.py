@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     ActionResult,
     EnergyPoint,
@@ -172,6 +170,8 @@ def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
     at the n midpoints of the quarter period [0, pi/2]; n doubles until
     two successive values agree to 1e-11 relative.
     """
+    import numpy as np
+
     x2 = hamiltonian.turning_point(e)
 
     def value(nodes: int) -> float:

@@ -16,7 +16,7 @@ is the coefficient of the power -1.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import OrderInsufficient, ParameterOutOfRange
 
@@ -41,6 +41,13 @@ def _tighter(a: int | None, b: int | None) -> int | None:
     return max(a, b)
 
 
+def _kept(terms: Iterable[tuple[int, complex]], trunc_low: int | None) -> dict[int, complex]:
+    """The terms a series stores: those not exactly zero and not below trunc_low."""
+    if trunc_low is None:
+        return {p: c for p, c in terms if c != 0}
+    return {p: c for p, c in terms if c != 0 and p >= trunc_low}
+
+
 class LaurentSeries:
     """Immutable finite Laurent series with a trusted lower bound."""
 
@@ -49,11 +56,9 @@ class LaurentSeries:
     def __init__(
         self, coeffs: Mapping[int, complex] | None = None, trunc_low: int | None = None
     ) -> None:
-        self._coeffs = {
-            int(p): complex(c)
-            for p, c in (coeffs or {}).items()
-            if c != 0 and (trunc_low is None or p >= trunc_low)
-        }
+        self._coeffs = _kept(
+            ((int(p), complex(c)) for p, c in (coeffs or {}).items()), trunc_low
+        )
         self.trunc_low = trunc_low
 
     # -- construction helpers -------------------------------------------------
@@ -61,6 +66,18 @@ class LaurentSeries:
     @classmethod
     def term(cls, power: int, coeff: complex) -> "LaurentSeries":
         return cls({power: coeff})
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, complex], trunc_low: int | None) -> "LaurentSeries":
+        """The result of one of the class's own operations.
+
+        Its powers are already ints and its coefficients already complex,
+        so it skips the conversions of __init__ and keeps its filter.
+        """
+        s = cls.__new__(cls)
+        s._coeffs = _kept(coeffs.items(), trunc_low)
+        s.trunc_low = trunc_low
+        return s
 
     # -- basic queries --------------------------------------------------------
 
@@ -98,16 +115,21 @@ class LaurentSeries:
         out = dict(self._coeffs)
         for p, c in other._coeffs.items():
             out[p] = out.get(p, 0.0) + c
-        return LaurentSeries(out, _tighter(self.trunc_low, other.trunc_low))
+        return LaurentSeries._of(out, _tighter(self.trunc_low, other.trunc_low))
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries({p: -c for p, c in self._coeffs.items()}, self.trunc_low)
+        return LaurentSeries._of({p: -c for p, c in self._coeffs.items()}, self.trunc_low)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for p, c in other._coeffs.items():
+            out[p] = out.get(p, 0.0) - c
+        return LaurentSeries._of(out, _tighter(self.trunc_low, other.trunc_low))
 
     def scaled(self, factor: complex) -> "LaurentSeries":
-        return LaurentSeries(
+        return LaurentSeries._of(
             {p: factor * c for p, c in self._coeffs.items()}, self.trunc_low
         )
 
@@ -121,7 +143,7 @@ class LaurentSeries:
 
     def shifted(self, powers: int) -> "LaurentSeries":
         """Multiply by x**powers."""
-        return LaurentSeries(
+        return LaurentSeries._of(
             {p + powers: c for p, c in self._coeffs.items()},
             None if self.trunc_low is None else self.trunc_low + powers,
         )
@@ -129,11 +151,11 @@ class LaurentSeries:
     def derivative(self) -> "LaurentSeries":
         """Termwise power-rule derivative; the trusted bound shifts down."""
         out = {p - 1: p * c for p, c in self._coeffs.items() if p != 0}
-        return LaurentSeries(out, None if self.trunc_low is None else self.trunc_low - 1)
+        return LaurentSeries._of(out, None if self.trunc_low is None else self.trunc_low - 1)
 
     def truncated(self, low: int | None = None) -> "LaurentSeries":
         """Raise the trusted lower bound to low (never lowers it)."""
-        return LaurentSeries(self._coeffs, _tighter(self.trunc_low, low))
+        return LaurentSeries._of(self._coeffs, _tighter(self.trunc_low, low))
 
     def residue(self) -> complex:
         """Coefficient of the power -1."""
@@ -168,7 +190,7 @@ def _mul_series(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             if pb >= need:
                 p = pa + pb
                 out[p] = out.get(p, 0.0) + ca * cb
-    return LaurentSeries(out, lo)
+    return LaurentSeries._of(out, lo)
 
 
 def sqrt_coefficients(order: int) -> list[float]:

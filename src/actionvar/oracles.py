@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import (
     BasisNotConverged,
@@ -34,6 +32,11 @@ __all__ = [
     "p4_expectation",
     "jwkb_levels_wr",
 ]
+
+# numpy is imported by the functions that build arrays, so that importing
+# this module, and every path that builds none, runs without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class HamiltonianKind(Enum):
@@ -134,6 +137,8 @@ class HamiltonianSpec:
         x may be a float or an array; a float gives a float and an array
         an array of the same shape.
         """
+        import numpy as np
+
         m, c = self.params.m, self.params.c
         x = np.asarray(x, dtype=float)
         w = e_tilde - self.potential(x)
@@ -266,6 +271,8 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
 
 def ladder_matrix(n: int) -> np.ndarray:
     """Lowering-operator matrix a with a[i, i+1] = sqrt(i+1)."""
+    import numpy as np
+
     a = np.zeros((n, n))
     idx = np.arange(n - 1)
     a[idx, idx + 1] = np.sqrt(idx + 1.0)
@@ -302,6 +309,8 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     Sweeps rotate away each off-diagonal pair in turn until the
     off-diagonal Frobenius norm drops below 1e-12 times the diagonal scale.
     """
+    import numpy as np
+
     a = np.array(mat, dtype=float, copy=True)
     n = a.shape[0]
     if n == 1:
@@ -352,6 +361,8 @@ def diagonalize(
     levels move by less than 1e-10 relative; the certified values are
     returned.
     """
+    import numpy as np
+
     if n_levels < 1:
         raise ParameterOutOfRange(f"n_levels must be >= 1, got {n_levels}")
     if basis_size < 4 * n_levels:

@@ -2,7 +2,9 @@
 
 The search starts at the caller's guess with one Newton step on the
 caller's slope, then takes secant steps through the two latest points
-until f changes sign.  Inside the bracket that sign change gives, it
+until f changes sign.  A step too short to change f in floats is taken
+and the next one grown, by 2, 4, 16, 256, ... times, so ten such steps
+cross 300 decades.  Inside the bracket that sign change gives, it
 takes Illinois steps (Dowell & Jarratt, BIT 11, 168 (1971)): regula falsi
 whose retained end has its value halved whenever the same end is kept
 twice running, so a strongly curved function cannot stall the bracket on
@@ -40,17 +42,19 @@ def increasing_root(
     domain is never left.
 
     Raises ParameterOutOfRange if slope is not finite and positive, if f is
-    not finite at a trial point, if a secant slope is not positive, or if
-    no sign change turns up within MAX_EXPANSIONS steps; NotConverged if
-    the tolerance is not met after MAX_ITER bracketed steps.
+    not finite at a trial point, if f decreases between two trial points,
+    or if no sign change turns up within MAX_EXPANSIONS steps; NotConverged
+    if the tolerance is not met after MAX_ITER bracketed steps.
     """
     if not (math.isfinite(slope) and slope > 0):
         raise ParameterOutOfRange(f"slope must be finite and > 0, got {slope}")
     x, fx = guess, _finite(f, guess)
     if abs(fx) <= f_tol:
         return x
+    step = -fx / slope
+    grow = 2.0
     for _ in range(MAX_EXPANSIONS):
-        x_new = x - fx / slope
+        x_new = x + step
         if x > 0:
             x_new = max(x_new, 0.5 * x)
         if x_new == x:
@@ -60,14 +64,22 @@ def increasing_root(
         f_new = _finite(f, x_new)
         if abs(f_new) <= f_tol:
             return x_new
+        if f_new == fx:
+            # f did not move in floats: the step is too short to measure a slope
+            step = (x_new - x) * grow
+            grow *= grow
+            x = x_new
+            continue
         slope = (f_new - fx) / (x_new - x)
         if not slope > 0:
             raise ParameterOutOfRange(
-                f"function decreases or stays flat between x = {x!r} and x = {x_new!r}"
+                f"function decreases between x = {x!r} and x = {x_new!r}"
             )
         if (f_new > 0) != (fx > 0):
             return _illinois(f, *sorted([(x, fx), (x_new, f_new)]), f_tol)
         x, fx = x_new, f_new
+        step = -fx / slope
+        grow = 2.0
     raise ParameterOutOfRange(
         f"no sign change found from {guess!r}: the search stopped at x = {x!r}, f = {fx:.6g}"
     )

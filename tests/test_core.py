@@ -3,6 +3,8 @@
 import ast
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -171,6 +173,52 @@ def test_runtime_imports_are_stdlib_numpy_or_own():
 
 
 _ROOT = Path(__file__).resolve().parents[1]
+
+# Runs the code in argv[1] in a fresh interpreter and prints the top-level
+# names of the modules it loaded, leaving out those loaded at start-up.
+_LOADED_BY = """
+import sys
+before = set(sys.modules)
+exec(sys.argv[1])
+print(*sorted({name.partition(".")[0] for name in sys.modules.keys() - before}))
+"""
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, code],
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def _readme_quick_start() -> str:
+    readme = (_ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_import_and_quick_start_load_only_stdlib_and_own_modules():
+    # the residue, closed-form and root-finding paths build no array, so
+    # numpy (and any later heavy dependency) stays off them
+    code = "import actionvar\n" + _readme_quick_start()
+    loaded = _modules_loaded_by(code)
+    assert "actionvar" in loaded
+    foreign = loaded - set(sys.stdlib_module_names) - {"actionvar"}
+    assert not foreign, f"import actionvar and the README quick start load {sorted(foreign)}"
+
+
+def test_quadrature_loads_numpy():
+    # the positive case: the check above would pass vacuously if no module
+    # ever showed up in the child's report
+    loaded = _modules_loaded_by(
+        "from actionvar import HamiltonianKind, HamiltonianSpec, action_quadrature, natural_params\n"
+        "action_quadrature(HamiltonianSpec(HamiltonianKind.SHO, natural_params()), 1.0)\n"
+    )
+    assert "numpy" in loaded
 
 
 @pytest.mark.parametrize(

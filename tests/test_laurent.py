@@ -194,6 +194,11 @@ class TestBinomial:
             assert abs(square.coefficient(p) - target.coefficient(p)) < 1e-9 * max(1.0, coeff**7)
 
 
+def typed_terms(s: LaurentSeries) -> tuple:
+    """trunc_low, then each term in stored order with the types of its power and coefficient."""
+    return s.trunc_low, [(p, type(p), c, type(c)) for p, c in s.coefficients.items()]
+
+
 class TestAlgebraProperties:
     @given(a=coeffs_strategy, b=coeffs_strategy)
     @settings(max_examples=60, deadline=None)
@@ -264,3 +269,39 @@ class TestAlgebraProperties:
         low = -14 if product.trunc_low is None else product.trunc_low
         for p in range(low, 15):
             assert product.coefficient(p) == exact.get(p, 0)
+
+    @given(
+        a=coeffs_strategy,
+        ta=trunc_strategy,
+        b=coeffs_strategy,
+        tb=trunc_strategy,
+        factor=st.one_of(
+            st.just(0.0),
+            st.floats(-3, 3),
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        ),
+        powers=st.integers(-3, 3),
+        low=trunc_strategy,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_operations_return_what_the_constructor_builds(
+        self, a, ta, b, tb, factor, powers, low
+    ):
+        # every result is already in the form the public constructor gives:
+        # int powers, complex coefficients, no exact zeros, none below the bound
+        sa, sb = LaurentSeries(a, ta), LaurentSeries(b, tb)
+        results = [
+            sa + sb,
+            sa - sb,
+            -sa,
+            sa * sb,
+            sa * factor,
+            factor * sa,
+            sa.scaled(factor),
+            sa.shifted(powers),
+            sa.derivative(),
+            sa.truncated(low),
+        ]
+        for r in results:
+            assert typed_terms(r) == typed_terms(LaurentSeries(r.coefficients, r.trunc_low))
+        assert typed_terms(sa - sb) == typed_terms(sa + (-sb))

@@ -335,33 +335,81 @@ class TestResiduePathsOverFullRange:
         assert close(classical, classical_closed)
 
 
-# Residue-path values at m = k = hbar = 1, c = 100.  Every Laurent product
-# and recurrence sums its terms in a fixed order, so a refactor that keeps
-# that order reproduces them exactly.
+# Residue-path values at m = k = hbar = 1, c = 100, as float.hex strings so
+# that a change in the last bit shows in the failure message.  E = 0.7, 2.0
+# and 4.4 lie in the benchmark's timed residue range, 3.3 and 37.0 beyond
+# it.  Every Laurent product and recurrence sums its terms in a fixed order,
+# so a refactor that keeps that order reproduces them exactly.
 _RESIDUE_PINS = {
     0.7: {
-        "wr_pdx_derived": 0.20001387499999995,
-        "aho_residue": {1e-4: 0.19988899999999996, -1e-4: 0.20011099999999996},
-        "wr_correction_derived": (3.4999999999999996, 1.0),
-        "aho_coeffs_derived": (1.0, 1.3571428571428572, 0.7193877551020408, 0.35714285714285715),
-        "root": 0.4999906251757763,
-        "residual_norm": 1.349221226955454e-16,
+        "wr_pdx_derived": "0x1.99a0dfdef8486p-3",
+        "aho_residue": {1e-4: "0x1.995f676ea4227p-3", -1e-4: "0x1.99d3cbc48f109p-3"},
+        "wr_correction_derived": ("0x1.bffffffffffffp+1", "0x1.0000000000000p+0"),
+        "aho_coeffs_derived": (
+            "0x1.0000000000000p+0",
+            "0x1.5b6db6db6db6ep+0",
+            "0x1.705397829cbc1p-1",
+            "0x1.6db6db6db6db7p-2",
+        ),
+        "action_wr_residue": "0x1.66679aae6c8f7p-1",
+        "root": "0x1.fffd8addbf07ep-2",
+        "residual_norm": "0x1.371bf6b87185ep-53",
+    },
+    2.0: {
+        "wr_pdx_derived": "0x1.800538ef34d6ap+0",
+        "aho_residue": {1e-4: "0x1.7fd63886594afp+0", -1e-4: "0x1.8029c779a6b51p+0"},
+        "wr_correction_derived": ("0x1.e000000000000p+0", "0x1.0000000000000p+0"),
+        "aho_coeffs_derived": (
+            "0x1.0000000000000p+0",
+            "0x1.2000000000000p+0",
+            "0x1.b000000000000p-1",
+            "0x1.0000000000000p-3",
+        ),
+        "action_wr_residue": "0x1.00027525460abp+1",
+        "root": "0x1.3ffc01bbf6d48p+1",
+        "residual_norm": "0x0.0p+0",
     },
     3.3: {
-        "wr_pdx_derived": 2.800208875,
-        "aho_residue": {1e-4: 2.798329, -1e-4: 2.801671},
-        "wr_correction_derived": (1.5303030303030305, 1.0),
-        "aho_coeffs_derived": (1.0, 1.0757575757575757, 0.8978420569329659, 0.07575757575757576),
-        "root": 3.499765655756652,
-        "residual_norm": 4.779176188847847e-17,
+        "wr_pdx_derived": "0x1.666d3e920c06ap+1",
+        "aho_residue": {1e-4: "0x1.662fa5093964ap+1", -1e-4: "0x1.669d27c393682p+1"},
+        "wr_correction_derived": ("0x1.87c1f07c1f07dp+0", "0x1.0000000000000p+0"),
+        "aho_coeffs_derived": (
+            "0x1.0000000000000p+0",
+            "0x1.1364d9364d936p+0",
+            "0x1.cbb1f43f003c2p-1",
+            "0x1.364d9364d9365p-4",
+        ),
+        "action_wr_residue": "0x1.a66d173fb7a5fp+1",
+        "root": "0x1.bff8522d91c4bp+1",
+        "residual_norm": "0x1.b8cd1b74b7b2dp-55",
+    },
+    4.4: {
+        "wr_pdx_derived": "0x1.f33f3f961804ep+1",
+        "aho_residue": {1e-4: "0x1.f2d2d01c0ca61p+1", -1e-4: "0x1.f393964a59c07p+1"},
+        "wr_correction_derived": ("0x1.65d1745d1745dp+0", "0x1.0000000000000p+0"),
+        "aho_coeffs_derived": (
+            "0x1.0000000000000p+0",
+            "0x1.0e8ba2e8ba2e9p+0",
+            "0x1.d7ab5f34e47f0p-1",
+            "0x1.d1745d1745d17p-5",
+        ),
+        "action_wr_residue": "0x1.199f8c21e1d22p+2",
+        "root": "0x1.1ff9b4161e3b6p+2",
+        "residual_norm": "0x1.df6fcc3e89d14p-53",
     },
     37.0: {
-        "wr_pdx_derived": 36.5256734375,
-        "aho_residue": {1e-4: 36.2946125, -1e-4: 36.7053875},
-        "wr_correction_derived": (1.0472972972972974, 1.0),
-        "aho_coeffs_derived": (1.0, 1.0067567567567568, 0.9899561723886048, 0.006756756756756757),
-        "root": 36.47504976396343,
-        "residual_norm": 1.5342833557127803e-15,
+        "wr_pdx_derived": "0x1.243494467381dp+5",
+        "aho_residue": {1e-4: "0x1.225b5dcc63f14p+5", -1e-4: "0x1.25a4a2339c0ecp+5"},
+        "wr_correction_derived": ("0x1.0c1bacf914c1cp+0", "0x1.0000000000000p+0"),
+        "aho_coeffs_derived": (
+            "0x1.0000000000000p+0",
+            "0x1.01bacf914c1bbp+0",
+            "0x1.fadb8911c3c96p-1",
+            "0x1.bacf914c1bad0p-8",
+        ),
+        "action_wr_residue": "0x1.283491d14e3bdp+5",
+        "root": "0x1.23cce6e401905p+5",
+        "residual_norm": "0x1.ba3a212d4dfc0p-50",
     },
 }
 
@@ -372,20 +420,25 @@ class TestResiduePathPinnedBitForBit:
 
     def test_wr_pdx_derived(self, e):
         j = quantum_action_wr_pdx_derived(self.params, energy_point(self.params, e)).j_value
-        assert j == _RESIDUE_PINS[e]["wr_pdx_derived"]
+        assert j.hex() == _RESIDUE_PINS[e]["wr_pdx_derived"]
 
     @pytest.mark.parametrize("delta", [1e-4, -1e-4])
     def test_aho_residue(self, e, delta):
         j = quantum_action_aho_residue(self.params, e, delta).j_value
-        assert j == _RESIDUE_PINS[e]["aho_residue"][delta]
+        assert j.hex() == _RESIDUE_PINS[e]["aho_residue"][delta]
 
     def test_wr_correction_derived(self, e):
-        ep = energy_point(self.params, e)
-        assert wr_correction_derived(self.params, ep) == _RESIDUE_PINS[e]["wr_correction_derived"]
+        pair = wr_correction_derived(self.params, energy_point(self.params, e))
+        assert tuple(v.hex() for v in pair) == _RESIDUE_PINS[e]["wr_correction_derived"]
 
     @pytest.mark.parametrize("delta", [1e-4, -1e-4])
     def test_aho_coeffs_derived(self, e, delta):
-        assert aho_coeffs_derived(self.params, e, delta) == _RESIDUE_PINS[e]["aho_coeffs_derived"]
+        coeffs = aho_coeffs_derived(self.params, e, delta)
+        assert tuple(v.hex() for v in coeffs) == _RESIDUE_PINS[e]["aho_coeffs_derived"]
+
+    def test_action_wr_residue(self, e):
+        j = action_wr_residue(self.params, energy_point(self.params, e)).j_value
+        assert j.hex() == _RESIDUE_PINS[e]["action_wr_residue"]
 
     def _root(self, e):
         p = self.params
@@ -396,7 +449,7 @@ class TestResiduePathPinnedBitForBit:
         return invert_action(j, round(e - 0.5), p)
 
     def test_root_of_the_derived_action(self, e):
-        assert self._root(e) == _RESIDUE_PINS[e]["root"]
+        assert self._root(e).hex() == _RESIDUE_PINS[e]["root"]
 
     def test_root_meets_the_exact_root_of_the_derived_action(self, e):
         # the derived action is E - 1/2 + (3/16) r (E^2 + 1/4), r = 1/c^2, so
@@ -412,7 +465,7 @@ class TestResiduePathPinnedBitForBit:
 
     def test_riccati_residual_norm(self, e):
         norm = riccati_pdx(self.params, e, order=11).residual_norm
-        assert norm == _RESIDUE_PINS[e]["residual_norm"]
+        assert norm.hex() == _RESIDUE_PINS[e]["residual_norm"]
 
 
 class TestQuantumActionWrXdp:

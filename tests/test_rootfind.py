@@ -78,6 +78,25 @@ def test_a_step_below_one_ulp_still_moves():
     assert increasing_root(lambda x: x - 0.5, 1.0, 1e300, f_tol=1e-12) == 0.5
 
 
+def test_a_step_that_leaves_f_unchanged_is_grown():
+    # slope 1e300 makes the first step 5e-301, where x - 0.5 rounds to -0.5
+    # again; the search grows such steps instead of calling f flat
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.5
+
+    root = increasing_root(f, 0.0, 1e300, f_tol=1e-12)
+    assert abs(root - 0.5) <= 1e-12
+    assert len(calls) <= rootfind.MAX_EXPANSIONS
+
+
+def test_a_decreasing_function_still_refused_after_unchanged_steps():
+    with pytest.raises(ParameterOutOfRange, match="function decreases"):
+        increasing_root(lambda x: -0.5 - x, 0.0, 1e300, f_tol=1e-12)
+
+
 @pytest.mark.parametrize("slope", [0.0, -1.0, math.inf, math.nan])
 def test_slope_must_be_finite_and_positive(slope):
     with pytest.raises(ParameterOutOfRange, match="slope must be finite and > 0"):
