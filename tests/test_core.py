@@ -53,6 +53,17 @@ class TestMakeParams:
         with pytest.raises(ParameterOutOfRange, match="m c\\^2 underflows to 0"):
             make_params(1e-200, 1.0, 1e-100, 1.0)
 
+    @pytest.mark.parametrize("m, c", [(1.0, 1e160), (1e300, 1e10), (2.0, 1.5e154)])
+    def test_rest_energy_overflow_refused(self, m, c):
+        # natural_params(c=1e160): c**2 alone raises OverflowError;
+        # m * c**2 turns inf in the other two
+        with pytest.raises(ParameterOutOfRange, match="m c\\^2 overflows at m = "):
+            make_params(m, 1.0, c, 1.0)
+
+    @pytest.mark.parametrize("m, c", [(1.0, 10.0), (0.3, 7.1), (3.7, 1.3e-7), (1.0, 1.3e154)])
+    def test_rest_energy_is_m_times_c_squared(self, m, c):
+        assert make_params(m, 1.0, c, 1.0).rest_energy == m * c**2
+
     def test_level_ratio(self):
         p = make_params(1.0, 1.0, 10.0, 1.0)
         assert p.level_ratio == pytest.approx(0.01)
@@ -192,7 +203,12 @@ def _modules_loaded_by(code: str) -> set[str]:
         text=True,
         check=True,
     )
-    return set(proc.stdout.split())
+    # the report is the last line; code that prints (the CLI) comes first
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _foreign(loaded: set[str]) -> list[str]:
+    return sorted(loaded - set(sys.stdlib_module_names) - {"actionvar"})
 
 
 def _readme_quick_start() -> str:
@@ -207,17 +223,37 @@ def test_import_and_quick_start_load_only_stdlib_and_own_modules():
     code = "import actionvar\n" + _readme_quick_start()
     loaded = _modules_loaded_by(code)
     assert "actionvar" in loaded
-    foreign = loaded - set(sys.stdlib_module_names) - {"actionvar"}
-    assert not foreign, f"import actionvar and the README quick start load {sorted(foreign)}"
+    assert not _foreign(loaded), f"import actionvar and the README quick start load {_foreign(loaded)}"
 
 
-def test_quadrature_loads_numpy():
-    # the positive case: the check above would pass vacuously if no module
+_WEAK = (
+    "from actionvar import *\n"
+    "spec = HamiltonianSpec(HamiltonianKind.WEAK_REL, natural_params())\n"
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        _WEAK + "action_quadrature(spec, 1.0)",
+        _WEAK + "rk4_period(spec, 1.0)",
+        _WEAK + "frequency_from_action(lambda e: action_quadrature(spec, e), 1.0)",
+        "from actionvar import cli\nassert cli.main(['table1']) == 0",
+        "from actionvar import cli\nassert cli.main(['freq']) == 0",
+    ],
+    ids=["action_quadrature", "rk4_period", "frequency_from_action", "cli-table1", "cli-freq"],
+)
+def test_classical_paths_load_only_stdlib_and_own_modules(code):
+    # the orbit integrals are float arithmetic on math; numpy stays with the ladder basis
+    loaded = _modules_loaded_by(code)
+    assert "actionvar" in loaded
+    assert not _foreign(loaded), f"{code!r} loads {_foreign(loaded)}"
+
+
+def test_diagonalize_loads_numpy():
+    # the positive case: the checks above would pass vacuously if no module
     # ever showed up in the child's report
-    loaded = _modules_loaded_by(
-        "from actionvar import HamiltonianKind, HamiltonianSpec, action_quadrature, natural_params\n"
-        "action_quadrature(HamiltonianSpec(HamiltonianKind.SHO, natural_params()), 1.0)\n"
-    )
+    loaded = _modules_loaded_by(_WEAK + "diagonalize(spec, 8, 2, certify=False)")
     assert "numpy" in loaded
 
 

@@ -108,33 +108,39 @@ class TestHamiltonianSpec:
         spec = HamiltonianSpec(HamiltonianKind.FULL_REL, p)
         assert spec.energy(0.0, 1e-6) == pytest.approx(1e-12 / 2.0, rel=1e-6)
 
-    @pytest.mark.parametrize("spec", PINNED_SPECS, ids=lambda s: s.kind.value)
-    def test_array_momentum_equals_scalar_calls(self, spec):
-        e = 20.0
-        xs = np.linspace(-1.0, 1.0, 41) * spec.turning_point(e)
-        ps = spec.momentum(xs, e)
-        assert isinstance(ps, np.ndarray) and ps.shape == xs.shape
-        scalars = [spec.momentum(float(x), e) for x in xs]
-        assert all(isinstance(v, float) for v in scalars)
-        assert ps.tolist() == scalars
-
-    def test_array_momentum_with_one_point_outside_orbit_raises(self):
+    def test_momentum_outside_orbit_raises(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
-        xs = np.array([0.0, 0.5, 1.5, -0.5])  # turning point sqrt(2) at e = 1
-        with pytest.raises(ParameterOutOfRange, match="x = 1.5"):
-            spec.momentum(xs, 1.0)
+        assert spec.momentum(0.5, 1.0) == pytest.approx(math.sqrt(1.75), rel=1e-15)
+        with pytest.raises(ParameterOutOfRange, match="x = 1.5 is outside the orbit"):
+            spec.momentum(1.5, 1.0)  # turning point sqrt(2) at e = 1
 
     def test_momentum_snaps_rounding_below_zero_at_the_turning_point(self):
         spec = HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, natural_params(), delta=1e-3)
         x2 = spec.turning_point(1.0)
-        assert spec.momentum(np.array([x2 * (1 + 1e-15), -x2]), 1.0).tolist() == [0.0, 0.0]
+        assert spec.momentum(x2 * (1 + 1e-15), 1.0) == 0.0
+        assert spec.momentum(-x2, 1.0) == 0.0
 
     def test_weakrel_momentum_beyond_half_rest_energy_raises(self):
         spec = wr_spec(1e-2)  # m c^2 = 100
-        with pytest.raises(ParameterOutOfRange, match="exceeds m c\\^2 / 2"):
-            spec.momentum(np.array([0.0, 0.1]), 60.0)
-        with pytest.raises(ParameterOutOfRange, match="exceeds m c\\^2 / 2"):
-            spec.momentum(0.0, 60.0)
+        for x in (0.0, 0.1):
+            with pytest.raises(ParameterOutOfRange, match="exceeds m c\\^2 / 2"):
+                spec.momentum(x, 60.0)
+
+    @pytest.mark.parametrize("c", [1e-100, 10.0, 1e80, 1e150])
+    def test_fullrel_momentum_round_trips_through_energy_at_any_c(self, c):
+        spec = HamiltonianSpec(HamiltonianKind.FULL_REL, natural_params(c=c))
+        for x in (0.0, 0.3, 1.0, 1.9):
+            p = spec.momentum(x, 2.0)
+            assert isinstance(p, float) and math.isfinite(p)
+            assert spec.energy(x, p) == pytest.approx(2.0, rel=1e-14)
+            assert spec.flow()[0](p) <= c * (1 + 1e-15)  # the speed of light, to rounding
+
+    @pytest.mark.parametrize("c", [1e80, 1e150])
+    def test_fullrel_oracles_at_large_c_are_harmonic(self, c):
+        # m c^2 = c^2 is far above e, so the orbit is the harmonic one
+        spec = HamiltonianSpec(HamiltonianKind.FULL_REL, natural_params(c=c))
+        assert rk4_period(spec, 1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
+        assert action_quadrature(spec, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestRk4Period:
