@@ -510,3 +510,26 @@ class TestModuleEntryPoint:
         code, out, _ = run(capsys, "table1")
         assert proc.returncode == code == 0
         assert proc.stdout == out.encode()
+
+
+# Each file under tests/golden holds the stdout of `python -m actionvar <argv>`
+# at the default settings; rewrite one the same way only when a change to the
+# printed numbers is intended, and say which digits moved.
+_GOLDEN = Path(__file__).parent / "golden"
+_GOLDEN_RUNS = [
+    ("table1", ["table1"]),
+    ("table2", ["table2", "--nmax", "3"]),
+    ("freq", ["freq"]),
+    *[
+        (f"levels-{scheme}", ["levels", "--scheme", scheme, "--nmax", "5"])
+        for scheme in ("sho", "wr-pdx", "wr-xdp", "jwkb", "rs")
+    ],
+    ("levels-aho", ["levels", "--scheme", "aho", "--nmax", "5", "--delta", "1e-3"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", _GOLDEN_RUNS, ids=[name for name, _ in _GOLDEN_RUNS])
+def test_stdout_and_exit_code_match_the_golden_file(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (_GOLDEN / f"{name}.txt").read_text(encoding="ascii")
