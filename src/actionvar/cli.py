@@ -64,7 +64,7 @@ class _Scheme:
 
     fn is an action function (params, ep) -> ActionResult when the oracle
     is FULL_REL quadrature, else a level function
-    (spec, n) -> (energy, correction) on the Hamiltonian the oracle solves.
+    (spec, n) -> SpectrumEntry on the Hamiltonian the oracle solves.
     """
 
     fn: Callable
@@ -73,17 +73,13 @@ class _Scheme:
     note: str
 
 
-def _pair(ev: SpectrumEntry) -> tuple[float, float]:
-    return ev.energy, ev.correction
-
-
 def _hw(spec: HamiltonianSpec) -> float:
     return spec.params.hbar * spec.params.omega0
 
 
-def _rs_level(spec: HamiltonianSpec, n: int) -> tuple[float, float]:
+def _rs_level(spec: HamiltonianSpec, n: int) -> SpectrumEntry:
     shift = rs_shift_p4(spec.params, n)
-    return (n + 0.5) * _hw(spec) + shift, shift
+    return SpectrumEntry((n + 0.5) * _hw(spec) + shift, shift)
 
 
 # table1 prints the FULL_REL schemes, table2 the WEAK_REL ones, and levels
@@ -110,22 +106,22 @@ _SCHEMES = {
         "momentum form truncated at order eps, (e/omega0)(1 + 3 eps/16)",
     ),
     "sho": _Scheme(
-        lambda spec, n: ((n + 0.5) * _hw(spec), 0.0),
+        lambda spec, n: SpectrumEntry((n + 0.5) * _hw(spec), 0.0),
         "quantum-sho-pdx", HamiltonianKind.SHO,
         "harmonic spectrum (n + 1/2) hbar omega0",
     ),
     "wr-pdx": _Scheme(
-        lambda spec, n: _pair(eigenvalues_wr_pdx(spec.params, n)),
+        lambda spec, n: eigenvalues_wr_pdx(spec.params, n),
         "quantum-wr-pdx", HamiltonianKind.WEAK_REL,
         "coordinate-form first-order spectrum",
     ),
     "wr-xdp": _Scheme(
-        lambda spec, n: _pair(eigenvalues_wr_xdp(spec.params, n)),
+        lambda spec, n: eigenvalues_wr_xdp(spec.params, n),
         "quantum-wr-xdp", HamiltonianKind.WEAK_REL,
         "momentum-form first-order spectrum",
     ),
     "jwkb": _Scheme(
-        lambda spec, n: _pair(jwkb_levels_wr(spec.params, n)),
+        lambda spec, n: jwkb_levels_wr(spec.params, n),
         "jwkb-wr", HamiltonianKind.WEAK_REL,
         "semiclassical discretization of the classical action",
     ),
@@ -135,7 +131,7 @@ _SCHEMES = {
         "first-order expectation value of the p^4 term",
     ),
     "aho": _Scheme(
-        lambda spec, n: _pair(eigenvalues_aho(spec.params, spec.delta, n)),
+        lambda spec, n: eigenvalues_aho(spec.params, spec.delta, n),
         "quantum-aho-pdx", HamiltonianKind.QUARTIC_AHO,
         "quartic-anharmonic first-order spectrum",
     ),
@@ -252,7 +248,7 @@ def cmd_table2(config: RunConfig) -> int:
     diag_shift = _oracle_shifts(spec, config.nmax)
     rows = []
     for n in range(config.nmax + 1):
-        vals = [_SCHEMES[name].fn(spec, n)[1] / hw for name in columns]
+        vals = [_SCHEMES[name].fn(spec, n).correction / hw for name in columns]
         oracle = diag_shift[n]
         rows.append([n, *vals, oracle, max(abs(v - oracle) for v in vals)])
     _emit(rows, header, config)
@@ -313,10 +309,10 @@ def cmd_levels(config: RunConfig) -> int:
     levels = [entry.fn(spec, n) for n in range(config.nmax + 1)]
     shifts = _oracle_shifts(spec, config.nmax)
     rows = []
-    for n, (energy, correction) in enumerate(levels):
+    for n, level in enumerate(levels):
         oe = (n + 0.5) * hw + shifts[n] * hw
-        rel = abs(energy - oe) / max(abs(oe), 1e-300)
-        rows.append([n, energy, correction, oe, rel, str(rel <= config.tolerance)])
+        rel = abs(level.energy - oe) / max(abs(oe), 1e-300)
+        rows.append([n, level.energy, level.correction, oe, rel, str(rel <= config.tolerance)])
     header = ["n", "energy", "correction", "oracle_energy", "rel_diff", "ok"]
     _emit(rows, header, config)
     return 0

@@ -29,7 +29,6 @@ __all__ = [
     "rk4_period",
     "diagonalize",
     "jacobi_eigenvalues",
-    "ladder_matrix",
     "rs_shift_p4",
     "p4_expectation",
     "jwkb_levels_wr",
@@ -72,7 +71,7 @@ class HamiltonianSpec:
 
     def potential(self, x: float) -> float:
         v = 0.5 * self.params.k * x * x
-        if self.kind is HamiltonianKind.QUARTIC_AHO:
+        if self.delta:  # x**4 overflows past x ~ 1e77, so it is formed only when it counts
             v += self.delta * x**4
         return v
 
@@ -84,7 +83,9 @@ class HamiltonianSpec:
             # without cancellation and finite for any c
             kinetic = p * (p / (m * (1.0 + math.hypot(1.0, p / (m * c)))))
         elif self.kind is HamiltonianKind.WEAK_REL:
-            kinetic = p * p / (2 * m) - p**4 / (8 * m**3 * c * c)
+            # p^2/2m - p^4/8m^3c^2 with no p^4, which overflows past p ~ 1e77
+            q = p / (m * c)
+            kinetic = p * p / (2 * m) * (1.0 - 0.25 * q * q)
         else:
             kinetic = p * p / (2 * m)
         return kinetic + self.potential(x)
@@ -134,20 +135,15 @@ class HamiltonianSpec:
             return math.sqrt(x2sq)
         return math.sqrt(2 * e_tilde / k)
 
-    def momentum(self, x: float, e_tilde: float) -> float:
-        """Classical momentum magnitude at x on the orbit of energy e_tilde.
-
-        x and the result are floats.  An x outside the orbit by more than
-        the rounding tolerance 1e-12 max(e_tilde, 1) is refused, and one
-        within it gets p = 0.  Each call binds the constants afresh, which
-        costs more than the arithmetic; a loop over many x on one orbit,
-        like action_quadrature's 65,520 nodes at its cap, calls
-        orbit_momentum(e_tilde) once instead.
-        """
-        return self.orbit_momentum(e_tilde)(x)
-
     def orbit_momentum(self, e_tilde: float) -> Callable[[float], float]:
-        """momentum(x, e_tilde) as a function of x, its constants bound once."""
+        """Classical momentum magnitude p(x) on the orbit of energy e_tilde.
+
+        The returned function maps a float x to a float p, with the orbit's
+        constants bound once for a loop over many x, like
+        action_quadrature's 65,520 nodes at its cap.  An x outside the
+        orbit by more than the rounding tolerance 1e-12 max(e_tilde, 1) is
+        refused, and one within it gets p = 0.
+        """
         m, c = self.params.m, self.params.c
         half_k, delta = 0.5 * self.params.k, self.delta
         outside = -1e-12 * max(e_tilde, 1.0)
@@ -171,7 +167,7 @@ class HamiltonianSpec:
             two_m = 2 * m
             of_w = lambda w: math.sqrt(two_m * w)
 
-        def momentum(x: float) -> float:
+        def of_x(x: float) -> float:
             # potential(x), inlined: a call per node costs more than its arithmetic
             v = half_k * x * x
             if delta:
@@ -185,7 +181,7 @@ class HamiltonianSpec:
                 w = 0.0
             return of_w(w)
 
-        return momentum
+        return of_x
 
 
 # -- trajectory oracle --------------------------------------------------------
@@ -293,34 +289,38 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
 # -- spectral oracle ----------------------------------------------------------
 
 
-def ladder_matrix(n: int) -> np.ndarray:
-    """Lowering-operator matrix a with a[i, i+1] = sqrt(i+1)."""
+def _x2_p2(params: OscillatorParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x^2 and p^2 in the lowest n harmonic-oscillator states.
+
+    Both come from the lowering operator a, with a[i, i+1] = sqrt(i+1):
+    x^2 = (hbar / 2 m omega0)(N + S) and p^2 = (m hbar omega0 / 2)(N - S),
+    where N = a^+ a + a a^+ and S = a a + a^+ a^+.
+    """
     import numpy as np
 
+    m, hbar, w0 = params.m, params.hbar, params.omega0
     a = np.zeros((n, n))
     idx = np.arange(n - 1)
     a[idx, idx + 1] = np.sqrt(idx + 1.0)
-    return a
-
-
-def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
-    params = spec.params
-    m, k, c, hbar, w0 = params.m, params.k, params.c, params.hbar, params.omega0
-    a = ladder_matrix(n)
     ad = a.T
     num = ad @ a + a @ ad
     sq = a @ a + ad @ ad
-    x2 = (hbar / (2 * m * w0)) * (num + sq)
-    p2 = (m * hbar * w0 / 2) * (num - sq)
+    return (hbar / (2 * m * w0)) * (num + sq), (m * hbar * w0 / 2) * (num - sq)
+
+
+def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
+    if spec.kind is HamiltonianKind.FULL_REL:
+        raise ParameterOutOfRange(
+            "the square-root kinetic operator has no finite ladder-band representation"
+        )
+    params = spec.params
+    m, k, c = params.m, params.k, params.c
+    x2, p2 = _x2_p2(params, n)
     h = p2 / (2 * m) + 0.5 * k * x2
     if spec.kind is HamiltonianKind.WEAK_REL:
         h = h - (p2 @ p2) / (8 * m**3 * c * c)
     elif spec.kind is HamiltonianKind.QUARTIC_AHO:
         h = h + spec.delta * (x2 @ x2)
-    elif spec.kind is HamiltonianKind.FULL_REL:
-        raise ParameterOutOfRange(
-            "the square-root kinetic operator has no finite ladder-band representation"
-        )
     return h
 
 
@@ -419,12 +419,8 @@ def diagonalize(
 
 def p4_expectation(params: OscillatorParams, n: int) -> float:
     """<n| p^4 |n> from ladder algebra: 3 (m hbar omega0 / 2)^2 (2n^2+2n+1)."""
-    size = n + 3
-    a = ladder_matrix(size)
-    ad = a.T
-    p2 = (params.m * params.hbar * params.omega0 / 2) * (ad @ a + a @ ad - a @ a - ad @ ad)
-    p4 = p2 @ p2
-    return float(p4[n, n])
+    _, p2 = _x2_p2(params, n + 3)
+    return float((p2 @ p2)[n, n])
 
 
 def rs_shift_p4(params: OscillatorParams, n: int) -> float:

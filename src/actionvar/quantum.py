@@ -155,7 +155,6 @@ def quantum_action_sho(
     coefficient b2 (pdx) or the p^(-1) coefficient b'2 (xdp), with the
     contour orientations fixed so both forms agree.
     """
-    energy_point(params, e)
     if form == "pdx":
         res = riccati_pdx(params, e, order=3).coefficients.residue()
         return ActionResult((1j * res).real)
@@ -303,6 +302,7 @@ def quantum_action_wr_xdp(params: OscillatorParams, ep: EnergyPoint) -> ActionRe
     e/omega0 - hbar/2 + (3/(64 m c^2))(hbar^2 omega0 + 4 e^2/omega0).  It
     equals the quartic-anharmonic action under delta -> -k^2/(8 m c^2).
     """
+    require_weak_regime(ep, "quantum_action_wr_xdp")
     r = params.level_ratio
     if r > 0.1:
         warnings.warn(
@@ -425,7 +425,6 @@ def aho_coeffs_derived(
     coefficients u_l determine the D_l through
     u_l = (1/k) sum_{j + l' = l + 1} b_j D_l' t^l' with t = x2^2.
     """
-    energy_point(params, e)
     p0, u = _correction_layer(params, e, _aho_correction_rhs, 3)
     k = params.k
     t = 2.0 * e / k
@@ -458,7 +457,6 @@ def quantum_action_aho_residue(
     params: OscillatorParams, e: float, delta: float
 ) -> ActionResult:
     """Anharmonic action assembled from the x^(-1) residue b2 + delta u_2."""
-    energy_point(params, e)
     p0, u = _correction_layer(params, e, _aho_correction_rhs, 3)
     return ActionResult(_real(1j * (p0.coefficient(-1) + delta * u[2])))
 

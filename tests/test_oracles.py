@@ -23,7 +23,6 @@ from actionvar.oracles import (
     diagonalize,
     jacobi_eigenvalues,
     jwkb_levels_wr,
-    ladder_matrix,
     p4_expectation,
     rk4_period,
     rs_shift_p4,
@@ -98,10 +97,25 @@ class TestHamiltonianSpec:
         with pytest.raises(ParameterOutOfRange, match=f"e_tilde = {e} >= m c\\^2 / 2"):
             oracle(spec, e)
 
-    def test_energy_is_conserved_quantity(self):
-        spec = wr_spec(1e-2)
-        e = spec.energy(0.7, spec.momentum(0.7, 1.0))
-        assert e == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("c", [10.0, 1e100])
+    @pytest.mark.parametrize(
+        "kind, delta",
+        [
+            (HamiltonianKind.SHO, 0.0),
+            (HamiltonianKind.WEAK_REL, 0.0),
+            (HamiltonianKind.FULL_REL, 0.0),
+            (HamiltonianKind.QUARTIC_AHO, 1e-3),
+        ],
+        ids=["sho", "weak-rel", "full-rel", "quartic-aho"],
+    )
+    def test_energy_is_conserved_quantity(self, kind, delta, c):
+        spec = HamiltonianSpec(kind, natural_params(c=c), delta=delta)
+        for eps in (1e-6, 1e-3, 0.1, 0.49):
+            e = eps * spec.params.rest_energy
+            momentum = spec.orbit_momentum(e)
+            x2 = spec.turning_point(e)
+            for s in (0.0, 0.3, 0.7, 0.99):
+                assert spec.energy(s * x2, momentum(s * x2)) == pytest.approx(e, rel=1e-14)
 
     def test_fullrel_energy_stable_at_small_p(self):
         p = natural_params(c=10.0)
@@ -110,27 +124,29 @@ class TestHamiltonianSpec:
 
     def test_momentum_outside_orbit_raises(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
-        assert spec.momentum(0.5, 1.0) == pytest.approx(math.sqrt(1.75), rel=1e-15)
+        momentum = spec.orbit_momentum(1.0)
+        assert momentum(0.5) == pytest.approx(math.sqrt(1.75), rel=1e-15)
         with pytest.raises(ParameterOutOfRange, match="x = 1.5 is outside the orbit"):
-            spec.momentum(1.5, 1.0)  # turning point sqrt(2) at e = 1
+            momentum(1.5)  # turning point sqrt(2) at e = 1
 
     def test_momentum_snaps_rounding_below_zero_at_the_turning_point(self):
         spec = HamiltonianSpec(HamiltonianKind.QUARTIC_AHO, natural_params(), delta=1e-3)
         x2 = spec.turning_point(1.0)
-        assert spec.momentum(x2 * (1 + 1e-15), 1.0) == 0.0
-        assert spec.momentum(-x2, 1.0) == 0.0
+        momentum = spec.orbit_momentum(1.0)
+        assert momentum(x2 * (1 + 1e-15)) == 0.0
+        assert momentum(-x2) == 0.0
 
     def test_weakrel_momentum_beyond_half_rest_energy_raises(self):
         spec = wr_spec(1e-2)  # m c^2 = 100
         for x in (0.0, 0.1):
             with pytest.raises(ParameterOutOfRange, match="exceeds m c\\^2 / 2"):
-                spec.momentum(x, 60.0)
+                spec.orbit_momentum(60.0)(x)
 
     @pytest.mark.parametrize("c", [1e-100, 10.0, 1e80, 1e150])
     def test_fullrel_momentum_round_trips_through_energy_at_any_c(self, c):
         spec = HamiltonianSpec(HamiltonianKind.FULL_REL, natural_params(c=c))
         for x in (0.0, 0.3, 1.0, 1.9):
-            p = spec.momentum(x, 2.0)
+            p = spec.orbit_momentum(2.0)(x)
             assert isinstance(p, float) and math.isfinite(p)
             assert spec.energy(x, p) == pytest.approx(2.0, rel=1e-14)
             assert spec.flow()[0](p) <= c * (1 + 1e-15)  # the speed of light, to rounding
@@ -148,6 +164,16 @@ class TestRk4Period:
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
         for e in (0.5, 1.0, 5.0):
             assert abs(rk4_period(spec, e) - 2.0 * math.pi) < 1e-11
+
+    @pytest.mark.parametrize(
+        "kind", [HamiltonianKind.SHO, HamiltonianKind.WEAK_REL, HamiltonianKind.QUARTIC_AHO],
+        ids=lambda k: k.value,
+    )
+    def test_harmonic_orbit_at_large_c_and_energy(self, kind):
+        # eps = 1e-40, so the orbit is harmonic; p and x near 1e80 overflow
+        # p**4 and x**4, so neither may be formed
+        spec = HamiltonianSpec(kind, natural_params(c=1e100))
+        assert abs(rk4_period(spec, 1e160) - 2.0 * math.pi) < 1e-11
 
     def test_weakrel_prediction(self):
         spec = wr_spec(1e-2)
@@ -425,11 +451,3 @@ class TestOracleCrossChecks:
         closed = p.omega0 / (1.0 + 3.0 * ep.epsilon / 8.0)
         trajectory = 2.0 * math.pi / rk4_period(spec, 1.0)
         assert abs(closed - trajectory) <= 4e-4 * max(closed, trajectory)
-
-
-class TestLadderMatrix:
-    def test_lowering_entries(self):
-        a = ladder_matrix(4)
-        assert a[0, 1] == pytest.approx(1.0)
-        assert a[2, 3] == pytest.approx(math.sqrt(3.0))
-        assert np.count_nonzero(a) == 3

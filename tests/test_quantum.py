@@ -490,6 +490,11 @@ class TestQuantumActionWrXdp:
             1.001875, rel=1e-12
         )
 
+    def test_refuses_eps_at_or_above_half(self):
+        p = natural_params(c=10.0)
+        with pytest.raises(ParameterOutOfRange, match="quantum_action_wr_xdp: eps = 0.6 >= 0.5"):
+            quantum_action_wr_xdp(p, energy_point(p, 60.0))
+
     @pytest.mark.parametrize("hbar", [0.0, 1e-300, 0.6, 1.0])
     @pytest.mark.parametrize("m, k, c", [(1.0, 1.0, 10.0), (2.0, 8.0, 3.0)])
     def test_equals_mapped_anharmonic_action(self, m, k, c, hbar):
@@ -521,8 +526,8 @@ class TestInvertAction:
     @given(scheme=st.sampled_from(["sho", "wr-pdx", "wr-xdp", "aho"]), n=st.integers(0, 63))
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, scheme, n):
-        # the wr-pdx series needs eps = E / m c^2 < 1/2, so E < 50 at c = 10
-        assume(scheme != "wr-pdx" or n < 50)
+        # the weak-relativistic series need eps = E / m c^2 < 1/2, so E < 50 at c = 10
+        assume(scheme not in ("wr-pdx", "wr-xdp") or n < 50)
         p = natural_params(c=10.0)
         j = {
             "sho": lambda e: quantum_action_sho(p, e).j_value,
