@@ -332,6 +332,8 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
     Sweeps rotate away each off-diagonal pair in turn until the
     off-diagonal Frobenius norm drops below 1e-12 times the diagonal scale.
+    diagonalize does not call it: it is the independent reference that the
+    parity-block solver is tested against.
     """
     import numpy as np
 
@@ -372,6 +374,116 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     )
 
 
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Q^T A Q, tridiagonal, for a real symmetric A.
+
+    Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.
+    (2013), section 8.3.1).  A column whose entries stop short of the last
+    row, as in a banded A, reflects only over its nonzero part.
+    """
+    import numpy as np
+
+    a = np.array(a, dtype=float, copy=True)
+    m = a.shape[0]
+    off = np.zeros(m - 1)
+    for j in range(m - 1):
+        x = a[j + 1 :, j]
+        nonzero = np.flatnonzero(x)
+        r = int(nonzero[-1]) + 1 if nonzero.size else 0
+        if r <= 1:  # already tridiagonal in this column
+            off[j] = x[0]
+            continue
+        v = x[:r].copy()
+        alpha = -math.copysign(float(np.linalg.norm(v)), v[0])
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        # A <- H A H with H = I - 2 v v^T is A - v w^T - w v^T,
+        # where p = A v and w = 2 (p - (v . p) v)
+        sub = a[j + 1 :, j + 1 :]
+        w = sub[:, :r] @ v
+        w[:r] -= (v @ w[:r]) * v
+        w *= 2.0
+        sub[:r, :] -= np.outer(v, w)
+        sub[:, :r] -= np.outer(w, v)
+        off[j] = alpha
+    return np.diag(a).copy(), off
+
+
+def _sturm_lowest(diag: np.ndarray, off: np.ndarray, k: int) -> list[float]:
+    """Lowest k eigenvalues of a symmetric tridiagonal matrix, ascending.
+
+    Bisection on the Sturm count, the number of negative pivots of
+    T - x I = L D L^T (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+    (1967)), from the Gershgorin interval until the midpoint meets an
+    endpoint.  Every count also tightens the upper bounds of the later
+    levels, and each level starts from the lower end of the one before.
+    """
+    import numpy as np
+
+    m = len(diag)
+    radius = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    gl = float(np.min(diag - radius))
+    gu = float(np.max(diag + radius))
+    e2 = (off * off).tolist()
+    max_e2 = max(e2, default=0.0)
+    # LAPACK's pivmin: a zero pivot becomes -pivmin, which no e_i^2 / pivmin overflows
+    pivmin = max(1.0, max_e2) * 2.0**-1022
+    pad = 2.1 * (m * math.ulp(1.0) * max(abs(gl), abs(gu)) + 2.0 * pivmin)
+    gl, gu = gl - pad, gu + pad
+    if not (math.isfinite(gl) and math.isfinite(gu) and math.isfinite(max_e2)):
+        raise NotConverged(
+            f"eigensolve overflowed: the tridiagonal form of a {m}-state block is not finite"
+        )
+    rows = list(zip(diag.tolist(), [0.0] + e2))
+
+    def count_below(x: float) -> int:
+        count, q = 0, 1.0
+        for d, b2 in rows:
+            q = (d - x) - b2 / q
+            if q <= 0.0:
+                count += 1
+                if q == 0.0:
+                    q = -pivmin
+        return count
+
+    upper = [gu] * k
+    lo = gl
+    levels = []
+    for j in range(k):
+        hi = upper[j]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            count = count_below(mid)
+            if count > j:
+                hi = mid
+                for i in range(j + 1, min(count, k)):
+                    upper[i] = mid
+            else:
+                lo = mid
+        levels.append(mid)
+    return levels
+
+
+def _lowest_eigenvalues(h: np.ndarray, n_levels: int) -> np.ndarray:
+    """Lowest n_levels eigenvalues of a _hamiltonian_matrix, ascending.
+
+    Every kind _hamiltonian_matrix accepts is even in x and in p, so H
+    couples |n> only to |n +- 2> and |n +- 4>: the even states and the odd
+    states form two blocks that never couple.  Each block is brought to
+    tridiagonal form and only its lowest n_levels eigenvalues are found;
+    the lowest n_levels of the union are the matrix's.
+    """
+    import numpy as np
+
+    levels = []
+    for block in (h[0::2, 0::2], h[1::2, 1::2]):
+        diag, off = _tridiagonalize(block)
+        levels += _sturm_lowest(diag, off, min(n_levels, len(diag)))
+    return np.sort(levels)[:n_levels]
+
+
 def diagonalize(
     spec: HamiltonianSpec,
     basis_size: int,
@@ -398,13 +510,13 @@ def diagonalize(
             f"basis_size = {basis_size} leaves no doubling below max_basis = {max_basis} "
             "to certify convergence"
         )
-    vals = jacobi_eigenvalues(_hamiltonian_matrix(spec, basis_size))[:n_levels]
+    vals = _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
     if not certify:
         return vals
     size = basis_size
     while size < max_basis:
         size *= 2
-        bigger = jacobi_eigenvalues(_hamiltonian_matrix(spec, size))[:n_levels]
+        bigger = _lowest_eigenvalues(_hamiltonian_matrix(spec, size), n_levels)
         move = np.max(np.abs(bigger - vals) / np.maximum(np.abs(bigger), 1e-300))
         vals = bigger
         if move < 1e-10:
@@ -419,6 +531,8 @@ def diagonalize(
 
 def p4_expectation(params: OscillatorParams, n: int) -> float:
     """<n| p^4 |n> from ladder algebra: 3 (m hbar omega0 / 2)^2 (2n^2+2n+1)."""
+    if n < 0:
+        raise ParameterOutOfRange(f"n must be >= 0, got {n}")
     _, p2 = _x2_p2(params, n + 3)
     return float((p2 @ p2)[n, n])
 

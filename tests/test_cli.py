@@ -19,6 +19,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Make the spectral oracle's eigensolver raise if anything calls it."""
+
+    def no_solve(*_):
+        raise AssertionError("the spectral oracle's eigensolver ran")
+
+    monkeypatch.setattr(oracles, "_lowest_eigenvalues", no_solve)
+
+
+def test_no_eigensolve_stops_an_ordinary_levels_run(capsys, no_eigensolve):
+    # the positive case: the refusal tests that patch the solver would pass
+    # vacuously if no run reached it
+    with pytest.raises(AssertionError, match="eigensolver ran"):
+        run(capsys, "levels", "--scheme", "rs", "--nmax", "2")
+
+
 def table_rows(out: str):
     lines = [ln for ln in out.strip().splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split()
@@ -168,13 +185,9 @@ class TestTable2:
         ]
         assert notes[-1] == "#   diag: weak-rel -- ladder-basis diagonalization oracle"
 
-    def test_uncertifiable_basis_exits_two_before_solving(self, capsys, monkeypatch):
+    def test_uncertifiable_basis_exits_two_before_solving(self, capsys, no_eigensolve):
         # nmax 128 needs a basis of 1024, the certification cap, so no
         # doubling is left to certify it with
-        def no_solve(*_):
-            raise AssertionError("eigensolver ran before the refusal")
-
-        monkeypatch.setattr(oracles, "jacobi_eigenvalues", no_solve)
         code, out, err = run(capsys, "table2", "--nmax", "128")
         assert code == 2
         assert out == ""
@@ -290,11 +303,7 @@ class TestLevels:
         ]
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
-    def test_nonfinite_delta_exits_one_before_solving(self, capsys, monkeypatch, delta):
-        def no_solve(*args):
-            raise AssertionError("the spectral oracle ran")
-
-        monkeypatch.setattr(oracles, "jacobi_eigenvalues", no_solve)
+    def test_nonfinite_delta_exits_one_before_solving(self, capsys, no_eigensolve, delta):
         code, out, err = run(capsys, "levels", "--scheme", "aho", "--nmax", "2", "--delta", delta)
         assert code == 1 and out == ""
         assert err == f"actionvar: error: delta must be finite, got {delta}\n"
@@ -533,3 +542,23 @@ def test_stdout_and_exit_code_match_the_golden_file(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (_GOLDEN / f"{name}.txt").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--ratio", "0.05", "--nmax", "3"],
+        ["levels", "--scheme", "jwkb", "--nmax", "5", "--ratio", "0.3"],
+        ["levels", "--scheme", "rs", "--nmax", "20", "--ratio", "0.02"],
+    ],
+    ids=["table2-ratio-0.05", "jwkb-ratio-0.3", "rs-nmax-20"],
+)
+def test_unconverging_basis_exits_two_at_the_cap(capsys, argv):
+    # the truncated -p^4 matrix gains spurious levels as the basis grows,
+    # so the requested levels never settle and the oracle doubles to the
+    # 1024 cap before it refuses
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("actionvar: oracle convergence failure: eigenvalues still moving by ")
+    assert err.endswith(" relative at basis 1024\n")

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from actionvar.core import (
 from actionvar.oracles import (
     HamiltonianKind,
     HamiltonianSpec,
+    _hamiltonian_matrix,
+    _lowest_eigenvalues,
+    _sturm_lowest,
+    _tridiagonalize,
     diagonalize,
     jacobi_eigenvalues,
     jwkb_levels_wr,
@@ -307,6 +312,38 @@ class TestRk4Period:
             rk4_period(spec, 1.0, dt=dt)
 
 
+def _ladder_matrix(kind: HamiltonianKind, strength: float, n: int) -> np.ndarray:
+    if kind is HamiltonianKind.WEAK_REL:
+        return _hamiltonian_matrix(wr_spec(strength), n)
+    return _hamiltonian_matrix(HamiltonianSpec(kind, natural_params(), delta=strength), n)
+
+
+def _random_symmetric() -> np.ndarray:
+    a = np.random.default_rng(11).normal(size=(40, 40))
+    return (a + a.T) / 2.0
+
+
+def _without_parity(a: np.ndarray, k: int) -> np.ndarray:
+    # a dense matrix has no parity blocks: every column needs its full reflection
+    return np.array(_sturm_lowest(*_tridiagonalize(a), k))
+
+
+_SOLVER_CASES = [
+    *[
+        pytest.param(partial(_ladder_matrix, kind, strength, n), _lowest_eigenvalues, id=f"{name}-{n}")
+        for kind, strength, name in [
+            (HamiltonianKind.SHO, 0.0, "sho"),  # every off-diagonal entry is zero
+            (HamiltonianKind.WEAK_REL, 1e-4, "weak-rel-1e-4"),
+            (HamiltonianKind.WEAK_REL, 5e-3, "weak-rel-5e-3"),
+            (HamiltonianKind.QUARTIC_AHO, 1e-4, "aho+1e-4"),
+            (HamiltonianKind.QUARTIC_AHO, -1e-4, "aho-1e-4"),
+        ]
+        for n in (8, 9, 32, 256)
+    ],
+    pytest.param(_random_symmetric, _without_parity, id="random-dense-40"),
+]
+
+
 class TestDiagonalize:
     def test_sho_exact(self):
         spec = HamiltonianSpec(HamiltonianKind.SHO, natural_params())
@@ -366,6 +403,21 @@ class TestDiagonalize:
         ref = np.sort(np.linalg.eigvalsh(a))
         assert np.max(np.abs(mine - ref)) < 1e-10
 
+    @pytest.mark.parametrize("build, solve", _SOLVER_CASES)
+    def test_solver_matches_eigvalsh_and_jacobi(self, build, solve):
+        h = build()
+        k = min(len(h), 12)  # the whole spectrum at n = 8 and 9, more levels than a block holds
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(np.diag(h)))))
+        mine = solve(h, k)
+        assert np.max(np.abs(mine - np.linalg.eigvalsh(h)[:k])) <= tol
+        assert np.max(np.abs(mine - jacobi_eigenvalues(h)[:k])) <= tol
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_matrix_refused(self):
+        # at ratio 1e300 the p^4 entries are finite but their squares are not
+        with pytest.raises(NotConverged, match="16-state block is not finite"):
+            diagonalize(wr_spec(1e300), 32, n_levels=1)
+
     @pytest.mark.parametrize(
         "basis_size, n_levels", [(32, 0), (-4, -1)], ids=["no-levels", "negative-basis"]
     )
@@ -385,6 +437,11 @@ class TestRsShift:
         for n in (0, 1, 5, 17):
             expected = 3.0 * (0.5) ** 2 * (2 * n * n + 2 * n + 1)
             assert p4_expectation(p, n) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [-1, -2, -3])
+    def test_ladder_expectation_refuses_negative_n(self, n):
+        with pytest.raises(ParameterOutOfRange, match=f"n must be >= 0, got {n}"):
+            p4_expectation(natural_params(c=10.0), n)
 
     def test_matches_ladder_expectation_through_n_50(self):
         p = make_params(2.0, 8.0, 3.0, 0.6)
