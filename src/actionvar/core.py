@@ -172,12 +172,12 @@ def require_weak_regime(ep: EnergyPoint, where: str) -> None:
 
     if ep.epsilon >= EPSILON_HARD_LIMIT:
         raise ParameterOutOfRange(
-            f"{where}: eps = {ep.epsilon:.6g} >= {EPSILON_HARD_LIMIT}; "
+            f"{where}: eps = {ep.epsilon!r} >= {EPSILON_HARD_LIMIT}; "
             "the weak-relativistic branch points reach the real axis"
         )
     if ep.epsilon > EPSILON_SOFT_LIMIT:
         warnings.warn(
-            f"{where}: eps = {ep.epsilon:.6g} > {EPSILON_SOFT_LIMIT}; "
+            f"{where}: eps = {ep.epsilon!r} > {EPSILON_SOFT_LIMIT}; "
             "first-order-in-eps results are rough here",
             WeakRegimeWarning,
             stacklevel=3,

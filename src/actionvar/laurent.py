@@ -117,9 +117,6 @@ class LaurentSeries:
             out[p] = out.get(p, 0.0) + c
         return LaurentSeries._of(out, _tighter(self.trunc_low, other.trunc_low))
 
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries._of({p: -c for p, c in self._coeffs.items()}, self.trunc_low)
-
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented

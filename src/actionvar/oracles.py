@@ -30,7 +30,6 @@ __all__ = [
     "diagonalize",
     "jacobi_eigenvalues",
     "rs_shift_p4",
-    "p4_expectation",
     "jwkb_levels_wr",
 ]
 
@@ -289,38 +288,43 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
 # -- spectral oracle ----------------------------------------------------------
 
 
-def _x2_p2(params: OscillatorParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """x^2 and p^2 in the lowest n harmonic-oscillator states.
+def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
+    """H in the lowest n harmonic-oscillator states |j>, written band by band.
 
-    Both come from the lowering operator a, with a[i, i+1] = sqrt(i+1):
-    x^2 = (hbar / 2 m omega0)(N + S) and p^2 = (m hbar omega0 / 2)(N - S),
-    where N = a^+ a + a a^+ and S = a a + a^+ a^+.
+    H is hbar omega0 (j + 1/2) on the diagonal plus g q^4, with q = p,
+    s = m hbar omega0 / 2 and g = -1 / 8 m^3 c^2 for WEAK_REL and q = x,
+    s = hbar / 2 m omega0 and g = delta for QUARTIC_AHO.  Ladder algebra
+    gives q^4 three bands and their mirror images,
+      <j|q^4|j>   = s^2 (6j^2 + 6j + 3),
+      <j+2|q^4|j> = +-s^2 (4j + 6) sqrt((j+1)(j+2)), minus for q = p,
+      <j+4|q^4|j> = s^2 sqrt((j+1)(j+2)(j+3)(j+4)),
+    so every entry is exact: the matrix is H projected onto those states.
     """
     import numpy as np
 
-    m, hbar, w0 = params.m, params.hbar, params.omega0
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = np.sqrt(idx + 1.0)
-    ad = a.T
-    num = ad @ a + a @ ad
-    sq = a @ a + ad @ ad
-    return (hbar / (2 * m * w0)) * (num + sq), (m * hbar * w0 / 2) * (num - sq)
-
-
-def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
     if spec.kind is HamiltonianKind.FULL_REL:
         raise ParameterOutOfRange(
             "the square-root kinetic operator has no finite ladder-band representation"
         )
     params = spec.params
-    m, k, c = params.m, params.k, params.c
-    x2, p2 = _x2_p2(params, n)
-    h = p2 / (2 * m) + 0.5 * k * x2
+    hw = params.hbar * params.omega0
     if spec.kind is HamiltonianKind.WEAK_REL:
-        h = h - (p2 @ p2) / (8 * m**3 * c * c)
+        # g s^2 = -(hbar omega0)^2 / 32 m c^2, through the level ratio so
+        # that no power of m or c can underflow to a zero divisor
+        gs2, sign = -hw * params.level_ratio / 32, -1.0
     elif spec.kind is HamiltonianKind.QUARTIC_AHO:
-        h = h + spec.delta * (x2 @ x2)
+        s = params.hbar / (2 * params.m * params.omega0)
+        gs2, sign = spec.delta * s * s, 1.0
+    else:
+        gs2, sign = 0.0, 1.0
+    j = np.arange(n, dtype=float)
+    h = np.diag(hw * (j + 0.5) + gs2 * (6 * j * j + 6 * j + 3))
+    j2, j4 = j[:-2], j[:-4]
+    band2 = sign * gs2 * (4 * j2 + 6) * np.sqrt((j2 + 1) * (j2 + 2))
+    band4 = gs2 * np.sqrt((j4 + 1) * (j4 + 2) * (j4 + 3) * (j4 + 4))
+    i = np.arange(n)
+    h[i[2:], i[:-2]] = h[i[:-2], i[2:]] = band2
+    h[i[4:], i[:-4]] = h[i[:-4], i[4:]] = band4
     return h
 
 
@@ -510,17 +514,20 @@ def diagonalize(
             f"basis_size = {basis_size} leaves no doubling below max_basis = {max_basis} "
             "to certify convergence"
         )
-    vals = _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
-    if not certify:
-        return vals
-    size = basis_size
-    while size < max_basis:
-        size *= 2
-        bigger = _lowest_eigenvalues(_hamiltonian_matrix(spec, size), n_levels)
-        move = np.max(np.abs(bigger - vals) / np.maximum(np.abs(bigger), 1e-300))
-        vals = bigger
-        if move < 1e-10:
+    # _sturm_lowest refuses a matrix whose entries or their squares overflow,
+    # so numpy's overflow and invalid-value warnings on the way say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
+        if not certify:
             return vals
+        size = basis_size
+        while size < max_basis:
+            size *= 2
+            bigger = _lowest_eigenvalues(_hamiltonian_matrix(spec, size), n_levels)
+            move = np.max(np.abs(bigger - vals) / np.maximum(np.abs(bigger), 1e-300))
+            vals = bigger
+            if move < 1e-10:
+                return vals
     raise BasisNotConverged(
         f"eigenvalues still moving by {move:.3g} relative at basis {size}"
     )
@@ -529,20 +536,12 @@ def diagonalize(
 # -- perturbation-theory oracles ----------------------------------------------
 
 
-def p4_expectation(params: OscillatorParams, n: int) -> float:
-    """<n| p^4 |n> from ladder algebra: 3 (m hbar omega0 / 2)^2 (2n^2+2n+1)."""
-    if n < 0:
-        raise ParameterOutOfRange(f"n must be >= 0, got {n}")
-    _, p2 = _x2_p2(params, n + 3)
-    return float((p2 @ p2)[n, n])
-
-
 def rs_shift_p4(params: OscillatorParams, n: int) -> float:
     """First-order level shift of the p^4 perturbation.
 
     Closed form -(3/16) hbar omega0 [(n+1/2)^2 + 1/4] (hbar omega0 / m c^2),
-    the value of -<n|p^4|n> / 8 m^3 c^2; p4_expectation computes that
-    expectation value from ladder algebra as the reference for tests.
+    the value of -<n|p^4|n> / 8 m^3 c^2.  Tests check it against the
+    WEAK_REL Hamiltonian matrix's diagonal less (n + 1/2) hbar omega0.
     """
     if n < 0:
         raise ParameterOutOfRange(f"n must be >= 0, got {n}")

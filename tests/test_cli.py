@@ -521,6 +521,26 @@ class TestModuleEntryPoint:
         assert proc.stdout == out.encode()
 
 
+@pytest.mark.parametrize("ratio", ["1e300", "1e308"])
+def test_overflowing_matrix_refused_on_one_stderr_line(ratio):
+    # the p^4 entries or their squares overflow; numpy's warnings on the way
+    # to the refusal are not printed.  Run in a fresh process, where no test
+    # harness captures those warnings.
+    src = str(Path(actionvar.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "actionvar", "levels", "--scheme", "rs", "--ratio", ratio, "--nmax", "0"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"actionvar: oracle convergence failure: eigensolve overflowed: "
+        b"the tridiagonal form of a 16-state block is not finite\n"
+    )
+
+
 # Each file under tests/golden holds the stdout of `python -m actionvar <argv>`
 # at the default settings; rewrite one the same way only when a change to the
 # printed numbers is intended, and say which digits moved.

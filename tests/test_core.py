@@ -115,6 +115,14 @@ class TestWeakRegimeGate:
         with pytest.warns(WeakRegimeWarning):
             require_weak_regime(ep, "test")
 
+    def test_eps_printed_in_full(self):
+        # rest energy 1, so eps = e_tilde; six significant digits would print 0.5
+        p = make_params(1.0, 1.0, 1.0, 1.0)
+        with pytest.warns(WeakRegimeWarning, match=r"^test: eps = 0\.4999999 > 0\.1; "):
+            require_weak_regime(energy_point(p, 0.4999999), "test")
+        with pytest.raises(ParameterOutOfRange, match=r"^test: eps = 0\.5000001 >= 0\.5; "):
+            require_weak_regime(energy_point(p, 0.5000001), "test")
+
     def test_comfortable_regime_silent(self, recwarn):
         p = natural_params(c=10.0)
         require_weak_regime(energy_point(p, 1.0), "test")

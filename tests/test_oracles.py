@@ -28,7 +28,6 @@ from actionvar.oracles import (
     diagonalize,
     jacobi_eigenvalues,
     jwkb_levels_wr,
-    p4_expectation,
     rk4_period,
     rs_shift_p4,
 )
@@ -318,6 +317,42 @@ def _ladder_matrix(kind: HamiltonianKind, strength: float, n: int) -> np.ndarray
     return _hamiltonian_matrix(HamiltonianSpec(kind, natural_params(), delta=strength), n)
 
 
+def _projected_hamiltonian(spec: HamiltonianSpec, n: int) -> np.ndarray:
+    """H in the lowest n states, from x and p built on a lowering matrix of size n + 4.
+
+    q^4 couples |j> no further than |j +- 4>, so every product is complete in
+    the first n rows and columns.
+    """
+    p = spec.params
+    a = np.diag(np.sqrt(np.arange(1.0, n + 4)), 1)
+    x = math.sqrt(p.hbar / (2 * p.m * p.omega0)) * (a + a.T)
+    p_over_i = math.sqrt(p.m * p.hbar * p.omega0 / 2) * (a.T - a)
+    x2, p2 = x @ x, -(p_over_i @ p_over_i)
+    h = p2 / (2 * p.m) + 0.5 * p.k * x2
+    if spec.kind is HamiltonianKind.WEAK_REL:
+        h -= (p2 @ p2) / (8 * p.m**3 * p.c**2)
+    elif spec.kind is HamiltonianKind.QUARTIC_AHO:
+        h += spec.delta * (x2 @ x2)
+    return h[:n, :n]
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 32])
+@pytest.mark.parametrize(
+    "kind, delta",
+    [
+        (HamiltonianKind.SHO, 0.0),
+        (HamiltonianKind.WEAK_REL, 0.0),
+        (HamiltonianKind.QUARTIC_AHO, 1e-3),
+        (HamiltonianKind.QUARTIC_AHO, -1e-3),
+    ],
+    ids=["sho", "weak-rel", "aho+1e-3", "aho-1e-3"],
+)
+def test_hamiltonian_matrix_is_the_projection_of_h(kind, delta, n):
+    spec = HamiltonianSpec(kind, make_params(2.0, 8.0, 3.0, 0.6), delta=delta)
+    ref = _projected_hamiltonian(spec, n)
+    assert np.max(np.abs(_hamiltonian_matrix(spec, n) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _random_symmetric() -> np.ndarray:
     a = np.random.default_rng(11).normal(size=(40, 40))
     return (a + a.T) / 2.0
@@ -412,7 +447,6 @@ class TestDiagonalize:
         assert np.max(np.abs(mine - np.linalg.eigvalsh(h)[:k])) <= tol
         assert np.max(np.abs(mine - jacobi_eigenvalues(h)[:k])) <= tol
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_matrix_refused(self):
         # at ratio 1e300 the p^4 entries are finite but their squares are not
         with pytest.raises(NotConverged, match="16-state block is not finite"):
@@ -432,21 +466,13 @@ class TestRsShift:
         p = natural_params(c=10.0)
         assert rs_shift_p4(p, 0) == pytest.approx(-9.375e-4, rel=1e-12)
 
-    def test_ladder_expectation_closed_form(self):
-        p = natural_params(c=10.0)
-        for n in (0, 1, 5, 17):
-            expected = 3.0 * (0.5) ** 2 * (2 * n * n + 2 * n + 1)
-            assert p4_expectation(p, n) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [-1, -2, -3])
-    def test_ladder_expectation_refuses_negative_n(self, n):
-        with pytest.raises(ParameterOutOfRange, match=f"n must be >= 0, got {n}"):
-            p4_expectation(natural_params(c=10.0), n)
-
     def test_matches_ladder_expectation_through_n_50(self):
+        # the first-order shift is <n|-p^4/8m^3c^2|n>, the matrix diagonal
+        # less the harmonic level
         p = make_params(2.0, 8.0, 3.0, 0.6)
+        h = _hamiltonian_matrix(HamiltonianSpec(HamiltonianKind.WEAK_REL, p), 51)
         for n in range(51):
-            ladder = -p4_expectation(p, n) / (8 * p.m**3 * p.c**2)
+            ladder = h[n, n] - (n + 0.5) * p.hbar * p.omega0
             assert rs_shift_p4(p, n) == pytest.approx(ladder, rel=1e-12, abs=0.0)
 
     def test_identity_through_n_50(self):
