@@ -112,7 +112,12 @@ class OscillatorParams:
             raise ParameterOutOfRange(f"m c^2 overflows at m = {self.m}, c = {self.c}")
         if rest_energy == 0:
             raise ParameterOutOfRange(f"m c^2 underflows to 0 at m = {self.m}, c = {self.c}")
-        object.__setattr__(self, "omega0", math.sqrt(self.k / self.m))
+        omega0 = math.sqrt(self.k / self.m)
+        if omega0 == math.inf:
+            raise ParameterOutOfRange(f"omega0 overflows at m = {self.m}, k = {self.k}")
+        if omega0 == 0:
+            raise ParameterOutOfRange(f"omega0 underflows to 0 at m = {self.m}, k = {self.k}")
+        object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "rest_energy", rest_energy)
 
     @property

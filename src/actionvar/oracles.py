@@ -392,35 +392,38 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     off = np.zeros(m - 1)
     for j in range(m - 1):
         x = a[j + 1 :, j]
-        nonzero = np.flatnonzero(x)
+        nonzero = x.nonzero()[0]
         r = int(nonzero[-1]) + 1 if nonzero.size else 0
         if r <= 1:  # already tridiagonal in this column
             off[j] = x[0]
             continue
         v = x[:r].copy()
-        alpha = -math.copysign(float(np.linalg.norm(v)), v[0])
+        # sqrt(v . v) is numpy.linalg.norm's own formula for a real vector
+        alpha = -math.copysign(math.sqrt(v.dot(v)), v[0])
         v[0] -= alpha
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v.dot(v))
         # A <- H A H with H = I - 2 v v^T is A - v w^T - w v^T,
         # where p = A v and w = 2 (p - (v . p) v)
         sub = a[j + 1 :, j + 1 :]
         w = sub[:, :r] @ v
         w[:r] -= (v @ w[:r]) * v
         w *= 2.0
-        sub[:r, :] -= np.outer(v, w)
-        sub[:, :r] -= np.outer(w, v)
+        sub[:r, :] -= v[:, None] * w
+        sub[:, :r] -= w[:, None] * v
         off[j] = alpha
     return np.diag(a).copy(), off
 
 
-def _sturm_lowest(diag: np.ndarray, off: np.ndarray, k: int) -> list[float]:
-    """Lowest k eigenvalues of a symmetric tridiagonal matrix, ascending.
+def _sturm(diag: np.ndarray, off: np.ndarray) -> tuple[Callable, Callable]:
+    """Sturm count and level generator of a symmetric tridiagonal matrix.
 
-    Bisection on the Sturm count, the number of negative pivots of
-    T - x I = L D L^T (Barth, Martin & Wilkinson, Numer. Math. 9, 386
-    (1967)), from the Gershgorin interval until the midpoint meets an
-    endpoint.  Every count also tightens the upper bounds of the later
-    levels, and each level starts from the lower end of the one before.
+    count(x) is the number of negative pivots of T - x I = L D L^T, the
+    number of eigenvalues below x (Barth, Martin & Wilkinson, Numer. Math.
+    9, 386 (1967)).  levels(k) yields the lowest k eigenvalues, ascending,
+    each bisected on the count from the Gershgorin interval until the
+    midpoint meets an endpoint.  Every count also tightens the upper bounds
+    of the later levels, and each level starts from the lower end of the
+    one before.
     """
     import numpy as np
 
@@ -450,42 +453,56 @@ def _sturm_lowest(diag: np.ndarray, off: np.ndarray, k: int) -> list[float]:
                     q = -pivmin
         return count
 
-    upper = [gu] * k
-    lo = gl
-    levels = []
-    for j in range(k):
-        hi = upper[j]
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            count = count_below(mid)
-            if count > j:
-                hi = mid
-                for i in range(j + 1, min(count, k)):
-                    upper[i] = mid
-            else:
-                lo = mid
-        levels.append(mid)
-    return levels
+    def levels(k: int):
+        k = min(k, m)
+        upper = [gu] * k
+        lo = gl
+        for j in range(k):
+            hi = upper[j]
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                count = count_below(mid)
+                if count > j:
+                    hi = mid
+                    for i in range(j + 1, min(count, k)):
+                        upper[i] = mid
+                else:
+                    lo = mid
+            yield mid
+
+    return count_below, levels
 
 
-def _lowest_eigenvalues(h: np.ndarray, n_levels: int) -> np.ndarray:
+def _sturm_lowest(diag: np.ndarray, off: np.ndarray, k: int) -> list[float]:
+    """Lowest k eigenvalues of a symmetric tridiagonal matrix, ascending."""
+    return list(_sturm(diag, off)[1](k))
+
+
+def _lowest_eigenvalues(h: np.ndarray, n_levels: int, blocks: list | None = None) -> np.ndarray:
     """Lowest n_levels eigenvalues of a _hamiltonian_matrix, ascending.
 
     Every kind _hamiltonian_matrix accepts is even in x and in p, so H
     couples |n> only to |n +- 2> and |n +- 4>: the even states and the odd
     states form two blocks that never couple.  Each block is brought to
-    tridiagonal form and only its lowest n_levels eigenvalues are found;
-    the lowest n_levels of the union are the matrix's.
+    tridiagonal form, and the two blocks' levels are bisected in ascending
+    order and merged until n_levels are found, so at most n_levels + 1 are
+    bisected, and none for n_levels = 0.  A list passed as blocks receives,
+    for each block, its Sturm count, its level generator and its levels
+    among those returned.
     """
+    import heapq
+    from itertools import islice, repeat
+
     import numpy as np
 
-    levels = []
-    for block in (h[0::2, 0::2], h[1::2, 1::2]):
-        diag, off = _tridiagonalize(block)
-        levels += _sturm_lowest(diag, off, min(n_levels, len(diag)))
-    return np.sort(levels)[:n_levels]
+    sturms = [_sturm(*_tridiagonalize(block)) for block in (h[0::2, 0::2], h[1::2, 1::2])]
+    tagged = [zip(levels(n_levels), repeat(b)) for b, (_, levels) in enumerate(sturms)]
+    lowest = list(islice(heapq.merge(*tagged), n_levels))
+    if blocks is not None:
+        blocks += [(*s, [v for v, owner in lowest if owner == b]) for b, s in enumerate(sturms)]
+    return np.array([v for v, _ in lowest])
 
 
 def diagonalize(
@@ -497,10 +514,19 @@ def diagonalize(
 ) -> np.ndarray:
     """Lowest eigenvalues of spec in the harmonic-oscillator eigenbasis.
 
-    Convergence is certified by doubling the basis until the requested
-    levels move by less than 1e-10 relative; the certified values are
-    returned.
+    Convergence is certified by doubling the basis, at most to max_basis,
+    until every requested level moves by less than 1e-10 relative; the
+    certified values are returned.  A parity block is the leading block of
+    the same block at a larger basis, so by Cauchy interlacing (Parlett,
+    The Symmetric Eigenvalue Problem (1998), section 10.1) its j-th level
+    only falls as the basis grows.  One Sturm count on the smaller basis
+    thus certifies each level lambda_j of the larger one: its block there
+    holds at least j + 1 levels below lambda_j + 1e-10 |lambda_j|.  Only a
+    refusal bisects the smaller basis, to state how far the levels moved.
     """
+    import heapq
+    from itertools import islice
+
     import numpy as np
 
     if n_levels < 1:
@@ -514,20 +540,25 @@ def diagonalize(
             f"basis_size = {basis_size} leaves no doubling below max_basis = {max_basis} "
             "to certify convergence"
         )
-    # _sturm_lowest refuses a matrix whose entries or their squares overflow,
-    # so numpy's overflow and invalid-value warnings on the way say nothing more
+    # _sturm refuses a matrix whose entries or their squares overflow, so
+    # numpy's overflow and invalid-value warnings on the way say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
         if not certify:
-            return vals
-        size = basis_size
+            return _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
+        size, bigger = basis_size, []
+        _lowest_eigenvalues(_hamiltonian_matrix(spec, size), 0, bigger)  # counts, no levels
         while size < max_basis:
-            size *= 2
-            bigger = _lowest_eigenvalues(_hamiltonian_matrix(spec, size), n_levels)
-            move = np.max(np.abs(bigger - vals) / np.maximum(np.abs(bigger), 1e-300))
-            vals = bigger
-            if move < 1e-10:
+            smaller, bigger = bigger, []
+            size = min(2 * size, max_basis)
+            vals = _lowest_eigenvalues(_hamiltonian_matrix(spec, size), n_levels, bigger)
+            if all(
+                count(v + 1e-10 * max(abs(v), 1e-300)) > j
+                for (count, _, _), (_, _, found) in zip(smaller, bigger)
+                for j, v in enumerate(found)
+            ):
                 return vals
+        before = islice(heapq.merge(*(levels(n_levels) for _, levels, _ in smaller)), n_levels)
+        move = np.max(np.abs(vals - list(before)) / np.maximum(np.abs(vals), 1e-300))
     raise BasisNotConverged(
         f"eigenvalues still moving by {move:.3g} relative at basis {size}"
     )

@@ -506,6 +506,20 @@ class TestConfigLayering:
         assert out == ""
         assert err == "actionvar: error: c must be finite and > 0, got 0.0\n"
 
+    @pytest.mark.parametrize(
+        "units, message",
+        [
+            ("m=1e300,k=1e-300", "omega0 underflows to 0 at m = 1e+300, k = 1e-300"),
+            ("m=1e-300,k=1e300", "omega0 overflows at m = 1e-300, k = 1e+300"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_omega0_out_of_range_exits_one(self, capsys, units, message):
+        code, out, err = run(capsys, "table1", "--units", units)
+        assert code == 1
+        assert out == ""
+        assert err == f"actionvar: error: {message}\n"
+
 
 class TestModuleEntryPoint:
     def test_python_m_actionvar_matches_main(self, capsys):
@@ -565,20 +579,22 @@ def test_stdout_and_exit_code_match_the_golden_file(capsys, name, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, move",
     [
-        ["table2", "--ratio", "0.05", "--nmax", "3"],
-        ["levels", "--scheme", "jwkb", "--nmax", "5", "--ratio", "0.3"],
-        ["levels", "--scheme", "rs", "--nmax", "20", "--ratio", "0.02"],
+        (["table2", "--ratio", "0.05", "--nmax", "3"], "0.772"),
+        (["levels", "--scheme", "jwkb", "--nmax", "5", "--ratio", "0.3"], "0.768"),
+        (["levels", "--scheme", "rs", "--nmax", "20", "--ratio", "0.02"], "0.825"),
     ],
     ids=["table2-ratio-0.05", "jwkb-ratio-0.3", "rs-nmax-20"],
 )
-def test_unconverging_basis_exits_two_at_the_cap(capsys, argv):
+def test_unconverging_basis_exits_two_at_the_cap(capsys, argv, move):
     # the truncated -p^4 matrix gains spurious levels as the basis grows,
     # so the requested levels never settle and the oracle doubles to the
     # 1024 cap before it refuses
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("actionvar: oracle convergence failure: eigenvalues still moving by ")
-    assert err.endswith(" relative at basis 1024\n")
+    assert err == (
+        f"actionvar: oracle convergence failure: eigenvalues still moving by {move} "
+        "relative at basis 1024\n"
+    )

@@ -60,6 +60,20 @@ class TestMakeParams:
         with pytest.raises(ParameterOutOfRange, match="m c\\^2 overflows at m = "):
             make_params(m, 1.0, c, 1.0)
 
+    @pytest.mark.parametrize(
+        "m, k, message",
+        [
+            (1e300, 1e-300, "omega0 underflows to 0 at m = 1e+300, k = 1e-300"),
+            (1e-300, 1e300, "omega0 overflows at m = 1e-300, k = 1e+300"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_omega0_out_of_range_refused(self, m, k, message):
+        # k / m rounds to 0 or to inf, and every energy in units of hbar omega0 divides by it
+        with pytest.raises(ParameterOutOfRange) as info:
+            make_params(m, k, 1.0, 1.0)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("m, c", [(1.0, 10.0), (0.3, 7.1), (3.7, 1.3e-7), (1.0, 1.3e154)])
     def test_rest_energy_is_m_times_c_squared(self, m, c):
         assert make_params(m, 1.0, c, 1.0).rest_energy == m * c**2

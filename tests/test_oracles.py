@@ -1,6 +1,7 @@
 """Brute-force oracles: trajectories, diagonalization, perturbation theory."""
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from functools import partial
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionvar import oracles
 from actionvar.classical import action_quadrature, frequency_from_action
 from actionvar.core import (
     BasisNotConverged,
@@ -311,10 +313,14 @@ class TestRk4Period:
             rk4_period(spec, 1.0, dt=dt)
 
 
-def _ladder_matrix(kind: HamiltonianKind, strength: float, n: int) -> np.ndarray:
+def _ladder_spec(kind: HamiltonianKind, strength: float) -> HamiltonianSpec:
     if kind is HamiltonianKind.WEAK_REL:
-        return _hamiltonian_matrix(wr_spec(strength), n)
-    return _hamiltonian_matrix(HamiltonianSpec(kind, natural_params(), delta=strength), n)
+        return wr_spec(strength)
+    return HamiltonianSpec(kind, natural_params(), delta=strength)
+
+
+def _ladder_matrix(kind: HamiltonianKind, strength: float, n: int) -> np.ndarray:
+    return _hamiltonian_matrix(_ladder_spec(kind, strength), n)
 
 
 def _projected_hamiltonian(spec: HamiltonianSpec, n: int) -> np.ndarray:
@@ -413,6 +419,67 @@ class TestDiagonalize:
         with pytest.raises(BasisNotConverged, match="128.*64"):
             diagonalize(spec, 128, n_levels=4, max_basis=64)
         assert len(diagonalize(spec, 64, n_levels=4, certify=False, max_basis=64)) == 4
+
+    @pytest.mark.parametrize("nmax", [0, 3, 8, 20])
+    @pytest.mark.parametrize(
+        "kind, strength",
+        [
+            (HamiltonianKind.SHO, 0.0),
+            (HamiltonianKind.WEAK_REL, 1e-4),
+            (HamiltonianKind.WEAK_REL, 5e-3),
+            (HamiltonianKind.QUARTIC_AHO, 1e-4),
+            (HamiltonianKind.QUARTIC_AHO, -1e-4),
+            (HamiltonianKind.QUARTIC_AHO, 1e-2),
+        ],
+        ids=["sho", "weak-rel-1e-4", "weak-rel-5e-3", "aho+1e-4", "aho-1e-4", "aho+1e-2"],
+    )
+    def test_certified_levels_are_the_doubled_basis_bitwise(self, kind, strength, nmax):
+        # the CLI's starting basis: 32, doubled until it holds 4 (nmax + 1) states
+        basis = 32
+        while basis < 4 * (nmax + 1):
+            basis *= 2
+        spec = _ladder_spec(kind, strength)
+        doubled = _lowest_eigenvalues(_hamiltonian_matrix(spec, 2 * basis), nmax + 1)
+        assert diagonalize(spec, basis, nmax + 1).tobytes() == doubled.tobytes()
+
+    def test_certificate_counts_the_smaller_basis_and_bisects_only_the_returned(self, monkeypatch):
+        # keyed by block size, so the 64-state basis shows as 32: each of the
+        # 8 levels gets one count there and none is bisected, and the doubled
+        # basis bisects the 8 it returns and the one the merge looked ahead to
+        counts, bisected = Counter(), Counter()
+        sturm = oracles._sturm
+
+        def tallied(diag, off):
+            count, levels = sturm(diag, off)
+
+            def tallied_count(x):
+                counts[len(diag)] += 1
+                return count(x)
+
+            def tallied_levels(k):
+                for level in levels(k):
+                    bisected[len(diag)] += 1
+                    yield level
+
+            return tallied_count, tallied_levels
+
+        monkeypatch.setattr(oracles, "_sturm", tallied)
+        diagonalize(wr_spec(1e-3), 64, 8)
+        assert counts == {32: 8}
+        assert bisected == {64: 9}
+
+    def test_last_doubling_stops_at_max_basis(self, monkeypatch):
+        sizes = []
+        build = oracles._hamiltonian_matrix
+
+        def recorded(spec, n):
+            sizes.append(n)
+            return build(spec, n)
+
+        monkeypatch.setattr(oracles, "_hamiltonian_matrix", recorded)
+        eigs = diagonalize(wr_spec(1e-3), 96, 4, max_basis=128)
+        assert sizes == [96, 128]
+        assert eigs.tobytes() == _lowest_eigenvalues(build(wr_spec(1e-3), 128), 4).tobytes()
 
     def test_basis_independence(self):
         spec = wr_spec(1e-3)
