@@ -32,6 +32,7 @@ from .classical import (
     frequency_wr_closed,
 )
 from .core import (
+    EPSILON_HARD_LIMIT,
     ActionVarError,
     ConfigInvalid,
     IoFailure,
@@ -168,7 +169,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for eps in self.eps:
-            if not 0.0 <= eps < 0.5:
+            if not 0.0 <= eps < EPSILON_HARD_LIMIT:
                 raise ConfigInvalid(f"eps values must lie in [0, 1/2), got {eps}")
         if self.nmax < 0:
             raise ConfigInvalid(f"nmax must be >= 0, got {self.nmax}")
@@ -178,6 +179,8 @@ class RunConfig:
     def ratio_params(self) -> OscillatorParams:
         """Params whose hbar*omega0/mc^2 equals ratio (c adjusted)."""
         p = self.units
+        if p.hbar == 0:
+            raise ConfigInvalid("hbar = 0 has no level spacing; table2 and levels need hbar > 0")
         if self.ratio == 0:
             return make_params(p.m, p.k, 1e9, p.hbar)
         c = math.sqrt(p.hbar * p.omega0 / (self.ratio * p.m))
@@ -310,9 +313,10 @@ def cmd_levels(config: RunConfig) -> int:
     shifts = _oracle_shifts(spec, config.nmax)
     rows = []
     for n, level in enumerate(levels):
-        oe = (n + 0.5) * hw + shifts[n] * hw
-        rel = abs(level.energy - oe) / max(abs(oe), 1e-300)
-        rows.append([n, level.energy, level.correction, oe, rel, str(rel <= config.tolerance)])
+        oe = n + 0.5 + shifts[n]  # in units of hbar omega0, which no small hbar underflows
+        rel = abs(level.energy / hw - oe) / abs(oe)
+        ok = str(rel <= config.tolerance)
+        rows.append([n, level.energy, level.correction, oe * hw, rel, ok])
     header = ["n", "energy", "correction", "oracle_energy", "rel_diff", "ok"]
     _emit(rows, header, config)
     return 0
@@ -487,7 +491,12 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import warnings
+
     args = _make_parser().parse_args(argv)
+    # a warning prints as one stderr line; Python's filters still decide which print
+    python_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"actionvar: warning: {message}\n"
     try:
         config = _build_config(args)
         _warn_ignored_flags(args)
@@ -504,6 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     except ActionVarError as exc:
         print(f"actionvar: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

@@ -171,19 +171,23 @@ def energy_point(params: OscillatorParams, e_tilde: float) -> EnergyPoint:
     return EnergyPoint(e_tilde=e_tilde, epsilon=e_tilde / params.rest_energy)
 
 
+def warn_if_rough(where: str, what: str, value: float, limit: float, stacklevel: int = 3) -> None:
+    """Warn the public function's caller where value, a first-order term, exceeds limit."""
+    if value > limit:
+        import warnings
+
+        warnings.warn(
+            f"{where}: {what} = {value!r} > {limit}; first-order results are rough here",
+            WeakRegimeWarning,
+            stacklevel=stacklevel,
+        )
+
+
 def require_weak_regime(ep: EnergyPoint, where: str) -> None:
     """Enforce eps < 1/2 for weak-relativistic series; warn above 0.1."""
-    import warnings
-
     if ep.epsilon >= EPSILON_HARD_LIMIT:
         raise ParameterOutOfRange(
             f"{where}: eps = {ep.epsilon!r} >= {EPSILON_HARD_LIMIT}; "
             "the weak-relativistic branch points reach the real axis"
         )
-    if ep.epsilon > EPSILON_SOFT_LIMIT:
-        warnings.warn(
-            f"{where}: eps = {ep.epsilon!r} > {EPSILON_SOFT_LIMIT}; "
-            "first-order-in-eps results are rough here",
-            WeakRegimeWarning,
-            stacklevel=3,
-        )
+    warn_if_rough(where, "eps", ep.epsilon, EPSILON_SOFT_LIMIT, stacklevel=4)

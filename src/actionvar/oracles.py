@@ -16,6 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .core import (
+    EPSILON_HARD_LIMIT,
     BasisNotConverged,
     NotConverged,
     OscillatorParams,
@@ -117,7 +118,8 @@ class HamiltonianSpec:
         """Positive turning point x2 with V(x2) = e_tilde; WEAK_REL needs e_tilde < m c^2/2."""
         if not 0.0 < e_tilde < math.inf:
             raise ParameterOutOfRange(f"e_tilde must be finite and > 0, got {e_tilde}")
-        if self.kind is HamiltonianKind.WEAK_REL and e_tilde >= 0.5 * self.params.rest_energy:
+        weak_rel = self.kind is HamiltonianKind.WEAK_REL
+        if weak_rel and e_tilde >= EPSILON_HARD_LIMIT * self.params.rest_energy:
             raise ParameterOutOfRange(
                 f"e_tilde = {e_tilde} >= m c^2 / 2: the weak-relativistic orbit does not close"
             )
@@ -289,12 +291,14 @@ def rk4_period(spec: HamiltonianSpec, e_tilde: float, dt: float | None = None) -
 
 
 def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
-    """H in the lowest n harmonic-oscillator states |j>, written band by band.
+    """H / hbar omega0 in the lowest n harmonic-oscillator states |j>, band by band.
 
-    H is hbar omega0 (j + 1/2) on the diagonal plus g q^4, with q = p,
-    s = m hbar omega0 / 2 and g = -1 / 8 m^3 c^2 for WEAK_REL and q = x,
-    s = hbar / 2 m omega0 and g = delta for QUARTIC_AHO.  Ladder algebra
-    gives q^4 three bands and their mirror images,
+    H / hbar omega0 is j + 1/2 on the diagonal plus a q^4 / s^2, with q = p,
+    s = m hbar omega0 / 2 and a = -(hbar omega0 / m c^2) / 32 for WEAK_REL
+    and q = x, s = hbar / 2 m omega0 and a = (delta / k)(hbar omega0 / k) / 4
+    for QUARTIC_AHO, so no power of m, c, k or hbar omega0 that could
+    underflow is formed.  Ladder algebra gives q^4 three bands and their
+    mirror images,
       <j|q^4|j>   = s^2 (6j^2 + 6j + 3),
       <j+2|q^4|j> = +-s^2 (4j + 6) sqrt((j+1)(j+2)), minus for q = p,
       <j+4|q^4|j> = s^2 sqrt((j+1)(j+2)(j+3)(j+4)),
@@ -307,21 +311,17 @@ def _hamiltonian_matrix(spec: HamiltonianSpec, n: int) -> np.ndarray:
             "the square-root kinetic operator has no finite ladder-band representation"
         )
     params = spec.params
-    hw = params.hbar * params.omega0
     if spec.kind is HamiltonianKind.WEAK_REL:
-        # g s^2 = -(hbar omega0)^2 / 32 m c^2, through the level ratio so
-        # that no power of m or c can underflow to a zero divisor
-        gs2, sign = -hw * params.level_ratio / 32, -1.0
+        a, sign = -params.level_ratio / 32, -1.0
     elif spec.kind is HamiltonianKind.QUARTIC_AHO:
-        s = params.hbar / (2 * params.m * params.omega0)
-        gs2, sign = spec.delta * s * s, 1.0
+        a, sign = spec.delta / params.k * (params.hbar * params.omega0 / params.k) / 4, 1.0
     else:
-        gs2, sign = 0.0, 1.0
+        a, sign = 0.0, 1.0
     j = np.arange(n, dtype=float)
-    h = np.diag(hw * (j + 0.5) + gs2 * (6 * j * j + 6 * j + 3))
+    h = np.diag(j + 0.5 + a * (6 * j * j + 6 * j + 3))
     j2, j4 = j[:-2], j[:-4]
-    band2 = sign * gs2 * (4 * j2 + 6) * np.sqrt((j2 + 1) * (j2 + 2))
-    band4 = gs2 * np.sqrt((j4 + 1) * (j4 + 2) * (j4 + 3) * (j4 + 4))
+    band2 = sign * a * (4 * j2 + 6) * np.sqrt((j2 + 1) * (j2 + 2))
+    band4 = a * np.sqrt((j4 + 1) * (j4 + 2) * (j4 + 3) * (j4 + 4))
     i = np.arange(n)
     h[i[2:], i[:-2]] = h[i[:-2], i[2:]] = band2
     h[i[4:], i[:-4]] = h[i[:-4], i[4:]] = band4
@@ -398,8 +398,13 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             off[j] = x[0]
             continue
         v = x[:r].copy()
-        # sqrt(v . v) is numpy.linalg.norm's own formula for a real vector
-        alpha = -math.copysign(math.sqrt(v.dot(v)), v[0])
+        # sqrt(v . v) is numpy.linalg.norm's own formula for a real vector;
+        # where the squares underflow, v is scaled by an exact 2^600 first
+        vv, unscale = v.dot(v), 1.0
+        if vv < 2.0**-1022:
+            v *= 2.0**600
+            vv, unscale = v.dot(v), 2.0**-600
+        alpha = -math.copysign(math.sqrt(vv), v[0])
         v[0] -= alpha
         v /= math.sqrt(v.dot(v))
         # A <- H A H with H = I - 2 v v^T is A - v w^T - w v^T,
@@ -410,7 +415,7 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w *= 2.0
         sub[:r, :] -= v[:, None] * w
         sub[:, :r] -= w[:, None] * v
-        off[j] = alpha
+        off[j] = alpha * unscale
     return np.diag(a).copy(), off
 
 
@@ -475,11 +480,6 @@ def _sturm(diag: np.ndarray, off: np.ndarray) -> tuple[Callable, Callable]:
     return count_below, levels
 
 
-def _sturm_lowest(diag: np.ndarray, off: np.ndarray, k: int) -> list[float]:
-    """Lowest k eigenvalues of a symmetric tridiagonal matrix, ascending."""
-    return list(_sturm(diag, off)[1](k))
-
-
 def _lowest_eigenvalues(h: np.ndarray, n_levels: int, blocks: list | None = None) -> np.ndarray:
     """Lowest n_levels eigenvalues of a _hamiltonian_matrix, ascending.
 
@@ -523,6 +523,7 @@ def diagonalize(
     thus certifies each level lambda_j of the larger one: its block there
     holds at least j + 1 levels below lambda_j + 1e-10 |lambda_j|.  Only a
     refusal bisects the smaller basis, to state how far the levels moved.
+    The levels are solved in units of hbar omega0 and scaled back on return.
     """
     import heapq
     from itertools import islice
@@ -540,11 +541,12 @@ def diagonalize(
             f"basis_size = {basis_size} leaves no doubling below max_basis = {max_basis} "
             "to certify convergence"
         )
+    hw = spec.params.hbar * spec.params.omega0
     # _sturm refuses a matrix whose entries or their squares overflow, so
     # numpy's overflow and invalid-value warnings on the way say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         if not certify:
-            return _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
+            return hw * _lowest_eigenvalues(_hamiltonian_matrix(spec, basis_size), n_levels)
         size, bigger = basis_size, []
         _lowest_eigenvalues(_hamiltonian_matrix(spec, size), 0, bigger)  # counts, no levels
         while size < max_basis:
@@ -556,7 +558,7 @@ def diagonalize(
                 for (count, _, _), (_, _, found) in zip(smaller, bigger)
                 for j, v in enumerate(found)
             ):
-                return vals
+                return hw * vals
         before = islice(heapq.merge(*(levels(n_levels) for _, levels, _ in smaller)), n_levels)
         move = np.max(np.abs(vals - list(before)) / np.maximum(np.abs(vals), 1e-300))
     raise BasisNotConverged(

@@ -16,7 +16,6 @@ quantum_action_wr_xdp has none.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -28,9 +27,9 @@ from .core import (
     OscillatorParams,
     ParameterOutOfRange,
     SpectrumEntry,
-    WeakRegimeWarning,
     energy_point,
     require_weak_regime,
+    warn_if_rough,
 )
 from .laurent import DEFAULT_EXTRA_ORDERS, LaurentSeries
 from .rootfind import increasing_root
@@ -303,14 +302,7 @@ def quantum_action_wr_xdp(params: OscillatorParams, ep: EnergyPoint) -> ActionRe
     equals the quartic-anharmonic action under delta -> -k^2/(8 m c^2).
     """
     require_weak_regime(ep, "quantum_action_wr_xdp")
-    r = params.level_ratio
-    if r > 0.1:
-        warnings.warn(
-            f"quantum_action_wr_xdp: hbar omega0/mc^2 = {r:.6g} > 0.1; "
-            "first-order result is rough here",
-            WeakRegimeWarning,
-            stacklevel=2,
-        )
+    warn_if_rough("quantum_action_wr_xdp", "hbar omega0/mc^2", params.level_ratio, 0.1)
     e, w0, hbar = ep.e_tilde, params.omega0, params.hbar
     j = e / w0 - hbar / 2.0 + (3.0 / (64.0 * params.rest_energy)) * (
         hbar * hbar * w0 + 4.0 * e * e / w0
@@ -341,17 +333,6 @@ def invert_action(j_of_e, n: int, params: OscillatorParams) -> float:
     return increasing_root(f, e0, 1.0 / params.omega0, f_tol=1e-12 * max(hbar, 1e-30))
 
 
-def _flag_large_correction(correction: float, n: int, params: OscillatorParams, where: str) -> None:
-    base = (n + 0.5) * params.hbar * params.omega0
-    if base > 0 and abs(correction) > 0.2 * base:
-        warnings.warn(
-            f"{where}: first-order correction is {abs(correction) / base:.1%} of the "
-            f"level at n = {n}; outside the expansion's trust region",
-            WeakRegimeWarning,
-            stacklevel=3,
-        )
-
-
 def eigenvalues_wr_pdx(params: OscillatorParams, n: int) -> SpectrumEntry:
     """Closed-form level of the coordinate-form relativistic spectrum.
 
@@ -364,7 +345,8 @@ def eigenvalues_wr_pdx(params: OscillatorParams, n: int) -> SpectrumEntry:
     r = params.level_ratio
     # (n + 5/3)^2 - 25/9 = n (n + 10/3); the leading 0.0 makes n = 0 exactly +0.0.
     correction = 0.0 - (3.0 / 16.0) * n * (n + 10.0 / 3.0) * r * hw
-    _flag_large_correction(correction, n, params, "eigenvalues_wr_pdx")
+    limit = 0.2 * ((n + 0.5) * params.hbar * params.omega0)
+    warn_if_rough("eigenvalues_wr_pdx", "|correction|", abs(correction), limit)
     return SpectrumEntry((n + 0.5) * hw + correction, correction)
 
 
@@ -378,22 +360,12 @@ def eigenvalues_wr_xdp(params: OscillatorParams, n: int) -> SpectrumEntry:
     hw = params.hbar * params.omega0
     r = params.level_ratio
     correction = -(3.0 / 16.0) * r * ((n + 0.5) ** 2 + 4.0) * hw
-    _flag_large_correction(correction, n, params, "eigenvalues_wr_xdp")
+    limit = 0.2 * ((n + 0.5) * params.hbar * params.omega0)
+    warn_if_rough("eigenvalues_wr_xdp", "|correction|", abs(correction), limit)
     return SpectrumEntry((n + 0.5) * hw + correction, correction)
 
 
 # -- quartic anharmonic oscillator --------------------------------------------
-
-
-def _aho_smallness_check(params: OscillatorParams, e: float, delta: float) -> None:
-    x2sq = 2.0 * e / params.k
-    if abs(delta) * x2sq**2 > 0.2 * 0.5 * params.k * x2sq:
-        warnings.warn(
-            f"quartic term is not small inside the orbit: |delta| x2^4 = "
-            f"{abs(delta) * x2sq**2:.3g} vs k x2^2/2 = {0.5 * params.k * x2sq:.3g}",
-            WeakRegimeWarning,
-            stacklevel=3,
-        )
 
 
 def aho_coeffs(
@@ -406,7 +378,8 @@ def aho_coeffs(
     lam = hbar omega0 / (4 e).
     """
     energy_point(params, e)
-    _aho_smallness_check(params, e, delta)
+    x2sq = 2.0 * e / params.k
+    warn_if_rough("aho_coeffs", "|delta| x2^4", abs(delta) * x2sq**2, 0.1 * params.k * x2sq)
     lam = params.hbar * params.omega0 / (4.0 * e)
     return 1.0, 1.0 + lam, 1.0 - 1.5 * lam + 2.0 * lam * lam, lam
 
@@ -443,7 +416,10 @@ def quantum_action_aho(params: OscillatorParams, e: float, delta: float) -> Acti
     16 e^2/omega0^2), the hbar-safe rewriting of the lambda form.
     """
     energy_point(params, e)
-    _aho_smallness_check(params, e, delta)
+    x2sq = 2.0 * e / params.k
+    warn_if_rough(
+        "quantum_action_aho", "|delta| x2^4", abs(delta) * x2sq**2, 0.1 * params.k * x2sq
+    )
     m, w0, hbar = params.m, params.omega0, params.hbar
     j = (
         e / w0
@@ -470,15 +446,14 @@ def eigenvalues_aho(params: OscillatorParams, delta: float, n: int) -> SpectrumE
     if n < 0:
         raise ParameterOutOfRange(f"n must be >= 0, got {n}")
     hw = params.hbar * params.omega0
-    g = (delta / params.k**2) * hw
+    g = (delta / params.k / params.k) * hw  # k^2 alone can underflow
+    if not math.isfinite(g):
+        raise ParameterOutOfRange(
+            f"eigenvalues_aho: delta hbar omega0 / k^2 is not finite at delta = {delta!r}, "
+            f"k = {params.k!r}"
+        )
     a = n + 0.5 + (3.0 / 8.0) * g
     energy = hw * (a + 1.5 * g * a * a)
     correction = energy - (n + 0.5) * hw
-    if hw > 0 and abs(correction) > 0.5 * hw:
-        warnings.warn(
-            f"eigenvalues_aho: first-order shift {correction:.3g} exceeds half a level "
-            f"spacing at n = {n}",
-            WeakRegimeWarning,
-            stacklevel=2,
-        )
+    warn_if_rough("eigenvalues_aho", "|correction|", abs(correction), 0.5 * hw)
     return SpectrumEntry(energy, correction)

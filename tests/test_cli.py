@@ -341,6 +341,73 @@ class TestLevels:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--scheme", "rs", "--ratio", "1e-170"], ["--scheme", "aho", "--delta=1e-170"]],
+        ids=["ratio-1e-170", "delta-1e-170"],
+    )
+    def test_vanishing_coupling_solves_to_the_harmonic_levels(self, capsys, argv):
+        # the p^4 or x^4 bands are about 1e-170, so their squares underflow
+        code, out, err = run(capsys, "levels", "--nmax", "1", *argv)
+        assert (code, err) == (0, "")
+        _, rows = table_rows(out)
+        assert [row[3] for row in rows] == ["0.5", "1.5"]
+        assert all(row[5] == "True" for row in rows)
+
+    @pytest.mark.parametrize(
+        "units, hw, rel",
+        [
+            ("hbar=1e-200", 1e-200, 1e-12),
+            ("hbar=1e-300", 1e-300, 1e-12),
+            ("hbar=1e-320", 1e-320, 1e-3),  # subnormal: about 11 significant bits
+            ("m=1e-200,k=1e-200", 1.0, 1e-12),
+        ],
+    )
+    def test_levels_scale_with_hbar_omega0(self, capsys, units, hw, rel):
+        for scheme in ("rs", "aho"):
+            argv = ["levels", "--scheme", scheme, "--nmax", "2"]
+            _, plain, _ = run(capsys, *argv)
+            code, out, err = run(capsys, *argv, "--units", units)
+            assert (code, err) == (0, "")
+            for row, ref in zip(table_rows(out)[1], table_rows(plain)[1]):
+                # energy, correction and oracle energy scale with hbar omega0, each
+                # good to rel of itself or of hbar omega0; rel_diff, a ratio of
+                # two of them, is good to rel absolutely
+                got = [float(v) for v in row[1:4]]
+                want = [float(v) * hw for v in ref[1:4]]
+                assert got == pytest.approx(want, rel=rel, abs=rel * hw)
+                assert float(row[4]) == pytest.approx(float(ref[4]), rel=0.0, abs=rel)
+                assert row[5] == ref[5]
+
+    def test_unscalable_quartic_coupling_exits_one(self, capsys):
+        # delta hbar omega0 / k^2 = 1e-3 / 1e-400 is not a float
+        code, out, err = run(
+            capsys, "levels", "--scheme", "aho", "--nmax", "2", "--delta", "1e-3",
+            "--units", "m=1e-200,k=1e-200",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "actionvar: error: eigenvalues_aho: delta hbar omega0 / k^2 is not finite at "
+            "delta = 0.001, k = 1e-200\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["levels", "--scheme", "sho", "--nmax", "1"], ["table2", "--nmax", "1"]]
+    )
+    def test_hbar_zero_refused_by_name(self, capsys, no_eigensolve, argv):
+        code, out, err = run(capsys, *argv, "--units", "hbar=0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "actionvar: config error: hbar = 0 has no level spacing; "
+            "table2 and levels need hbar > 0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["table1", "freq"])
+    def test_classical_commands_take_hbar_zero(self, capsys, command):
+        code, out, err = run(capsys, command, "--units", "hbar=0")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, command)[1]
+
 
 class TestCsvOutput:
     def test_file_contents(self, capsys, tmp_path):
@@ -552,6 +619,22 @@ def test_overflowing_matrix_refused_on_one_stderr_line(ratio):
     assert proc.stderr == (
         b"actionvar: oracle convergence failure: eigensolve overflowed: "
         b"the tridiagonal form of a 16-state block is not finite\n"
+    )
+
+
+def test_weak_regime_warning_prints_on_one_stderr_line():
+    # a fresh process, where Python's own warning display runs
+    src = str(Path(actionvar.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "actionvar", "table1", "--eps", "0.2"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        b"actionvar: warning: action_wr_pdx: eps = 0.2 > 0.1; "
+        b"first-order results are rough here\n"
     )
 
 

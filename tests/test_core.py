@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,15 @@ from actionvar.core import (
     make_params,
     natural_params,
     require_weak_regime,
+)
+from actionvar.quantum import (
+    aho_coeffs,
+    eigenvalues_aho,
+    eigenvalues_wr_pdx,
+    eigenvalues_wr_xdp,
+    quantum_action_aho,
+    quantum_action_wr_pdx,
+    quantum_action_wr_xdp,
 )
 
 
@@ -141,6 +151,75 @@ class TestWeakRegimeGate:
         p = natural_params(c=10.0)
         require_weak_regime(energy_point(p, 1.0), "test")
         assert not recwarn.list
+
+
+def _eps_rule(eps: float, hbar: float):
+    p = make_params(1.0, 1.0, 1.0, hbar)  # m c^2 = 1, so eps = e
+    return quantum_action_wr_pdx(p, energy_point(p, eps))
+
+
+def _ratio_rule(m: float, hbar: float):
+    p = make_params(m, m, 1.0, hbar)  # omega0 = c = 1, so hbar omega0 / m c^2 = hbar / m
+    return quantum_action_wr_xdp(p, energy_point(p, 0.05))
+
+
+# Each first-order trust rule, called from a public function: the call with
+# the input x that crosses the limit and with hbar, x exactly at the limit
+# in floats, the direction past it, whether hbar = 0 zeroes the rule's
+# first-order term, and the warning just past the limit.  At m = k = 4 and
+# c = 1, hbar omega0 / m c^2 = 1/4 and level 2's correction is
+# (3/16) 2 (16/3) / 4 = 1/2 = 0.2 (2 + 1/2); at m = k = 255/32 it is 32/255
+# and level 0's is (3/16)(17/4)(32/255) = 1/10 = 0.2 / 2.
+_TRUST_RULES = {
+    "eps": (
+        _eps_rule, 0.1, math.inf, False, "quantum_action_wr_pdx: eps = 0.10000000000000002 > 0.1"
+    ),
+    "ratio": (
+        _ratio_rule, 10.0, 0.0, True,
+        "quantum_action_wr_xdp: hbar omega0/mc^2 = 0.10000000000000002 > 0.1",
+    ),
+    "wr-pdx-level": (
+        lambda m, hbar: eigenvalues_wr_pdx(make_params(m, m, 1.0, hbar), 2), 4.0, 0.0, True,
+        "eigenvalues_wr_pdx: |correction| = 0.5000000000000001 > 0.5",
+    ),
+    "wr-xdp-level": (
+        lambda m, hbar: eigenvalues_wr_xdp(make_params(m, m, 1.0, hbar), 0), 7.96875, 0.0, True,
+        "eigenvalues_wr_xdp: |correction| = 0.10000000000000003 > 0.1",
+    ),
+    "aho-coeffs": (
+        lambda delta, hbar: aho_coeffs(make_params(1.0, 1.0, 10.0, hbar), 0.5, delta),
+        0.1, math.inf, False,  # x2 = 1, so |delta| x2^4 = delta against 0.2 k x2^2 / 2 = 0.1
+        "aho_coeffs: |delta| x2^4 = 0.10000000000000002 > 0.1",
+    ),
+    "aho-action": (
+        lambda delta, hbar: quantum_action_aho(make_params(1.0, 1.0, 10.0, hbar), 0.5, delta),
+        0.1, math.inf, False,
+        "quantum_action_aho: |delta| x2^4 = 0.10000000000000002 > 0.1",
+    ),
+    "aho-level": (
+        lambda delta, hbar: eigenvalues_aho(make_params(1.0, 1.0, 10.0, hbar), delta, 0),
+        0.47094661893243267, math.inf, True,  # the float where level 0 moves by 1/2 exactly
+        "eigenvalues_aho: |correction| = 0.5000000000000002 > 0.5",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, at, way, hbar_scaled, message", _TRUST_RULES.values(), ids=_TRUST_RULES.keys()
+)
+def test_each_trust_rule_warns_just_past_its_limit(call, at, way, hbar_scaled, message):
+    past = math.nextafter(at, way)
+    with pytest.warns(WeakRegimeWarning) as record:
+        call(past, 1.0)
+    # one warning, the unified message, pointing at the caller of the public function
+    assert [(str(w.message), w.filename) for w in record] == [
+        (f"{message}; first-order results are rough here", __file__)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WeakRegimeWarning)
+        call(at, 1.0)
+        # hbar = 0 is legal; it silences the rules whose term carries hbar
+        call(past if hbar_scaled else at, 0.0)
 
 
 class TestErrorTaxonomy:

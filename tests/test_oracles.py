@@ -25,7 +25,7 @@ from actionvar.oracles import (
     HamiltonianSpec,
     _hamiltonian_matrix,
     _lowest_eigenvalues,
-    _sturm_lowest,
+    _sturm,
     _tridiagonalize,
     diagonalize,
     jacobi_eigenvalues,
@@ -354,9 +354,18 @@ def _projected_hamiltonian(spec: HamiltonianSpec, n: int) -> np.ndarray:
     ids=["sho", "weak-rel", "aho+1e-3", "aho-1e-3"],
 )
 def test_hamiltonian_matrix_is_the_projection_of_h(kind, delta, n):
+    # the matrix is H in units of hbar omega0, here 1.2
     spec = HamiltonianSpec(kind, make_params(2.0, 8.0, 3.0, 0.6), delta=delta)
-    ref = _projected_hamiltonian(spec, n)
+    ref = _projected_hamiltonian(spec, n) / (spec.params.hbar * spec.params.omega0)
     assert np.max(np.abs(_hamiltonian_matrix(spec, n) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1e-300])
+def test_levels_are_solved_in_units_of_hbar_omega0(hbar):
+    # ratio 1e-3 at this hbar is the natural-units matrix, scaled by hbar omega0
+    params = make_params(1.0, 1.0, math.sqrt(hbar / 1e-3), hbar)
+    levels = diagonalize(HamiltonianSpec(HamiltonianKind.WEAK_REL, params), 32, 3)
+    assert levels / hbar == pytest.approx(diagonalize(wr_spec(1e-3), 32, 3), rel=1e-14)
 
 
 def _random_symmetric() -> np.ndarray:
@@ -364,9 +373,18 @@ def _random_symmetric() -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def test_tridiagonal_form_of_a_tiny_matrix_is_the_scaled_form():
+    # at 2^-600 every reflection's squares underflow, so each is normed on
+    # its column scaled up by 2^600; a power-of-two scale is exact
+    diag, off = _tridiagonalize(_random_symmetric())
+    tiny_diag, tiny_off = _tridiagonalize(_random_symmetric() * 2.0**-600)
+    assert tiny_diag.tobytes() == (diag * 2.0**-600).tobytes()
+    assert tiny_off.tobytes() == (off * 2.0**-600).tobytes()
+
+
 def _without_parity(a: np.ndarray, k: int) -> np.ndarray:
     # a dense matrix has no parity blocks: every column needs its full reflection
-    return np.array(_sturm_lowest(*_tridiagonalize(a), k))
+    return np.array(list(_sturm(*_tridiagonalize(a))[1](k)))
 
 
 _SOLVER_CASES = [
@@ -537,9 +555,10 @@ class TestRsShift:
         # the first-order shift is <n|-p^4/8m^3c^2|n>, the matrix diagonal
         # less the harmonic level
         p = make_params(2.0, 8.0, 3.0, 0.6)
+        hw = p.hbar * p.omega0
         h = _hamiltonian_matrix(HamiltonianSpec(HamiltonianKind.WEAK_REL, p), 51)
         for n in range(51):
-            ladder = h[n, n] - (n + 0.5) * p.hbar * p.omega0
+            ladder = (h[n, n] - (n + 0.5)) * hw
             assert rs_shift_p4(p, n) == pytest.approx(ladder, rel=1e-12, abs=0.0)
 
     def test_identity_through_n_50(self):

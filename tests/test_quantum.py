@@ -670,6 +670,13 @@ class TestEigenvaluesAho:
         p = natural_params()
         assert eigenvalues_aho(p, -1e-4, 2).correction < 0
 
+    def test_coupling_formed_without_k_squared(self):
+        # k^2 = 1e-400 underflows to 0, which delta / k / k never forms
+        p = make_params(1e-200, 1e-200, 10.0, 1.0)  # omega0 = 1
+        assert [eigenvalues_aho(p, 0.0, n).energy for n in range(3)] == [0.5, 1.5, 2.5]
+        with pytest.raises(ParameterOutOfRange, match=r"not finite at delta = 0\.001, k = 1e-200$"):
+            eigenvalues_aho(p, 1e-3, 0)
+
 
 @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize(
