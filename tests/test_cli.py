@@ -681,3 +681,18 @@ def test_unconverging_basis_exits_two_at_the_cap(capsys, argv, move):
         f"actionvar: oracle convergence failure: eigenvalues still moving by {move} "
         "relative at basis 1024\n"
     )
+
+
+# Each help-*.txt under tests/golden holds the --help text of `actionvar` or one
+# subcommand at 80 columns: the flags, the --scheme choices and their help.
+_SUBCOMMANDS = ("table1", "table2", "freq", "levels")
+_HELP_RUNS = [("help", []), *[(f"help-{name}", [name]) for name in _SUBCOMMANDS]]
+
+
+@pytest.mark.parametrize("name, argv", _HELP_RUNS, ids=[name for name, _ in _HELP_RUNS])
+def test_help_matches_the_golden_file(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == (_GOLDEN / f"{name}.txt").read_text(encoding="ascii")
