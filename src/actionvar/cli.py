@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,17 +62,30 @@ _DEFAULT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class _Scheme:
-    """One printed scheme: the tag --show-scheme prints, and the oracle kind that checks it.
+    """One printed scheme: the tag --show-scheme prints, its note, and fn.
 
-    fn is an action function (params, ep) -> ActionResult when the oracle
-    is FULL_REL quadrature, else a level function
-    (spec, n) -> SpectrumEntry on the Hamiltonian the oracle solves.
+    fn is (params, ep) -> ActionResult for a FULL_REL scheme, else
+    (spec, n) -> SpectrumEntry on the Hamiltonian its oracle solves.
     """
 
-    fn: Callable
     tag: str
-    oracle: HamiltonianKind
     note: str
+    fn: Callable
+
+
+@dataclass(frozen=True)
+class _Oracle:
+    """An oracle Hamiltonian: its column, note, flags, solver and schemes in print order.
+
+    solve is (spec, e) -> J for FULL_REL, else (spec, n_max) -> the shifts of
+    levels 0..n_max from (n + 1/2) hbar omega0, in units of hbar omega0.
+    """
+
+    column: str
+    note: str
+    flags: tuple[str, ...]
+    solve: Callable
+    schemes: dict[str, _Scheme]
 
 
 def _hw(spec: HamiltonianSpec) -> float:
@@ -83,74 +97,64 @@ def _rs_level(spec: HamiltonianSpec, n: int) -> SpectrumEntry:
     return SpectrumEntry((n + 0.5) * _hw(spec) + shift, shift)
 
 
-# table1 prints the FULL_REL schemes, table2 the WEAK_REL ones, and levels
-# takes any scheme that is not FULL_REL.
-_SCHEMES = {
-    "fullrel_pdx": _Scheme(
-        lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX),
-        "classical-fullrel-pdx", HamiltonianKind.FULL_REL,
-        "tabulated series in eps/(2+eps), coordinate contour",
-    ),
-    "fullrel_xdp": _Scheme(
-        lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP),
-        "classical-fullrel-xdp", HamiltonianKind.FULL_REL,
-        "tabulated series in eps, momentum contour",
-    ),
-    "weakrel_pdx": _Scheme(
-        action_wr_pdx,
-        "classical-wr-pdx", HamiltonianKind.FULL_REL,
-        "(e/omega0)(1 + 3 eps/16)",
-    ),
-    "weakrel_xdp": _Scheme(
-        action_wr_pdx,
-        "classical-wr-xdp", HamiltonianKind.FULL_REL,
-        "momentum form truncated at order eps, (e/omega0)(1 + 3 eps/16)",
-    ),
-    "sho": _Scheme(
-        lambda spec, n: SpectrumEntry((n + 0.5) * _hw(spec), 0.0),
-        "quantum-sho-pdx", HamiltonianKind.SHO,
-        "harmonic spectrum (n + 1/2) hbar omega0",
-    ),
-    "wr-pdx": _Scheme(
-        lambda spec, n: eigenvalues_wr_pdx(spec.params, n),
-        "quantum-wr-pdx", HamiltonianKind.WEAK_REL,
-        "coordinate-form first-order spectrum",
-    ),
-    "wr-xdp": _Scheme(
-        lambda spec, n: eigenvalues_wr_xdp(spec.params, n),
-        "quantum-wr-xdp", HamiltonianKind.WEAK_REL,
-        "momentum-form first-order spectrum",
-    ),
-    "jwkb": _Scheme(
-        lambda spec, n: jwkb_levels_wr(spec.params, n),
-        "jwkb-wr", HamiltonianKind.WEAK_REL,
-        "semiclassical discretization of the classical action",
-    ),
-    "rs": _Scheme(
-        _rs_level,
-        "rayleigh-schrodinger", HamiltonianKind.WEAK_REL,
-        "first-order expectation value of the p^4 term",
-    ),
-    "aho": _Scheme(
-        lambda spec, n: eigenvalues_aho(spec.params, spec.delta, n),
-        "quantum-aho-pdx", HamiltonianKind.QUARTIC_AHO,
-        "quartic-anharmonic first-order spectrum",
-    ),
-}
+def _diag_shifts(spec: HamiltonianSpec, n_max: int) -> list[float]:
+    hw = _hw(spec)
+    basis = 32
+    while basis < 4 * (n_max + 1):
+        basis *= 2
+    eigs = diagonalize(spec, basis, n_levels=n_max + 1)
+    return [(eigs[n] - (n + 0.5) * hw) / hw for n in range(n_max + 1)]
 
-_LEVEL_SCHEMES = [n for n, s in _SCHEMES.items() if s.oracle is not HamiltonianKind.FULL_REL]
 
-# Per oracle kind: its name in the output and how it solves that Hamiltonian.
+# Only the weak-relativistic kinetic term contains c, which --ratio sets.
 _ORACLES = {
-    HamiltonianKind.FULL_REL: ("quadrature", "midpoint-rule contour integral oracle"),
-    HamiltonianKind.WEAK_REL: ("diag", "ladder-basis diagonalization oracle"),
-    HamiltonianKind.QUARTIC_AHO: ("diag", "ladder-basis diagonalization oracle"),
-    HamiltonianKind.SHO: ("exact", "closed-form harmonic levels (n + 1/2) hbar omega0"),
+    HamiltonianKind.FULL_REL: _Oracle(
+        "quadrature", "midpoint-rule contour integral oracle", (), action_quadrature, {
+            "fullrel_pdx": _Scheme(
+                "classical-fullrel-pdx", "tabulated series in eps/(2+eps), coordinate contour",
+                lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_PDX)),
+            "fullrel_xdp": _Scheme(
+                "classical-fullrel-xdp", "tabulated series in eps, momentum contour",
+                lambda p, ep: action_fullrel(p, ep, SchemeTag.CLASSICAL_FULLREL_XDP)),
+            "weakrel_pdx": _Scheme("classical-wr-pdx", "(e/omega0)(1 + 3 eps/16)", action_wr_pdx),
+            "weakrel_xdp": _Scheme(
+                "classical-wr-xdp",
+                "momentum form truncated at order eps, (e/omega0)(1 + 3 eps/16)", action_wr_pdx),
+        }),
+    HamiltonianKind.SHO: _Oracle(
+        "exact", "closed-form harmonic levels (n + 1/2) hbar omega0", (),
+        lambda spec, n_max: [0.0] * (n_max + 1), {
+            "sho": _Scheme(
+                "quantum-sho-pdx", "harmonic spectrum (n + 1/2) hbar omega0",
+                lambda spec, n: SpectrumEntry((n + 0.5) * _hw(spec), 0.0)),
+        }),
+    HamiltonianKind.WEAK_REL: _Oracle(
+        "diag", "ladder-basis diagonalization oracle", ("ratio",), _diag_shifts, {
+            "wr-pdx": _Scheme(
+                "quantum-wr-pdx", "coordinate-form first-order spectrum",
+                lambda spec, n: eigenvalues_wr_pdx(spec.params, n)),
+            "wr-xdp": _Scheme(
+                "quantum-wr-xdp", "momentum-form first-order spectrum",
+                lambda spec, n: eigenvalues_wr_xdp(spec.params, n)),
+            "jwkb": _Scheme(
+                "jwkb-wr", "semiclassical discretization of the classical action",
+                lambda spec, n: jwkb_levels_wr(spec.params, n)),
+            "rs": _Scheme(
+                "rayleigh-schrodinger", "first-order expectation value of the p^4 term",
+                _rs_level),
+        }),
+    HamiltonianKind.QUARTIC_AHO: _Oracle(
+        "diag", "ladder-basis diagonalization oracle", ("delta",), _diag_shifts, {
+            "aho": _Scheme(
+                "quantum-aho-pdx", "quartic-anharmonic first-order spectrum",
+                lambda spec, n: eigenvalues_aho(spec.params, spec.delta, n)),
+        }),
 }
 
 
-def _checked_by(kind: HamiltonianKind) -> list[str]:
-    return [name for name, s in _SCHEMES.items() if s.oracle is kind]
+def _scheme_kinds(kinds: tuple[HamiltonianKind, ...]) -> dict[str, HamiltonianKind]:
+    """Each scheme the oracles of kinds check, with its kind, in print order."""
+    return {name: kind for kind in kinds for name in _ORACLES[kind].schemes}
 
 
 @dataclass
@@ -175,16 +179,8 @@ class RunConfig:
             raise ConfigInvalid(f"nmax must be >= 0, got {self.nmax}")
         if self.ratio < 0:
             raise ConfigInvalid(f"ratio must be >= 0, got {self.ratio}")
-
-    def ratio_params(self) -> OscillatorParams:
-        """Params whose hbar*omega0/mc^2 equals ratio (c adjusted)."""
-        p = self.units
-        if p.hbar == 0:
-            raise ConfigInvalid("hbar = 0 has no level spacing; table2 and levels need hbar > 0")
-        if self.ratio == 0:
-            return make_params(p.m, p.k, 1e9, p.hbar)
-        c = math.sqrt(p.hbar * p.omega0 / (self.ratio * p.m))
-        return make_params(p.m, p.k, c, p.hbar)
+        if not math.isfinite(self.ratio):
+            raise ConfigInvalid(f"ratio must be finite, got {self.ratio}")
 
 
 def _emit(rows: list[list], header: list[str], config: RunConfig) -> None:
@@ -203,36 +199,37 @@ def _emit(rows: list[list], header: list[str], config: RunConfig) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(line, widths)))
 
 
-def _print_scheme_notes(names: list[str]) -> None:
-    """One line per scheme, then one naming what their shared oracle solves."""
+def _print_scheme_notes(config: RunConfig, kind: HamiltonianKind, names: list[str]) -> None:
+    """With --show-scheme, one line per scheme, then one naming what their oracle solves."""
+    if not config.show_scheme:
+        return
+    oracle = _ORACLES[kind]
     print("# column schemes:")
     for name in names:
-        print(f"#   {name}: {_SCHEMES[name].tag} -- {_SCHEMES[name].note}")
-    kind = _SCHEMES[names[0]].oracle
-    oracle_name, note = _ORACLES[kind]
-    print(f"#   {oracle_name}: {kind.value} -- {note}")
+        print(f"#   {name}: {oracle.schemes[name].tag} -- {oracle.schemes[name].note}")
+    print(f"#   {oracle.column}: {kind.value} -- {oracle.note}")
     print()
 
 
 def cmd_table1(config: RunConfig) -> int:
     """Classical relativistic action, four schemes plus quadrature oracle."""
-    columns = _checked_by(HamiltonianKind.FULL_REL)
-    header = ["eps", *columns, "quadrature", "max_pairwise_dev"]
-    if config.show_scheme:
-        _print_scheme_notes(columns)
+    kind = HamiltonianKind.FULL_REL
+    oracle = _ORACLES[kind]
+    header = ["eps", *oracle.schemes, oracle.column, "max_pairwise_dev"]
+    _print_scheme_notes(config, kind, list(oracle.schemes))
     p = config.units
     rows = []
     for eps in config.eps:
         if eps == 0.0:
-            rows.append([eps, *[1.0] * (len(columns) + 1), 0.0])
+            rows.append([eps, *[1.0] * (len(oracle.schemes) + 1), 0.0])
             continue
         e = eps * p.rest_energy
         ep = energy_point(p, e)
         unit = e / p.omega0
-        vals = [_SCHEMES[name].fn(p, ep).j_value / unit for name in columns]
-        oracle = action_quadrature(HamiltonianSpec(HamiltonianKind.FULL_REL, p), e) / unit
-        spread = max(vals + [oracle]) - min(vals + [oracle])
-        rows.append([eps, *vals, oracle, spread])
+        vals = [scheme.fn(p, ep).j_value / unit for scheme in oracle.schemes.values()]
+        exact = oracle.solve(HamiltonianSpec(kind, p), e) / unit
+        spread = max(vals + [exact]) - min(vals + [exact])
+        rows.append([eps, *vals, exact, spread])
     _emit(rows, header, config)
     return 0
 
@@ -242,39 +239,37 @@ def cmd_table2(config: RunConfig) -> int:
 
     All correction columns are in units of hbar*omega0.
     """
-    columns = _checked_by(HamiltonianKind.WEAK_REL)
-    header = ["n", *columns, "diag", "max_dev_from_diag"]
-    if config.show_scheme:
-        _print_scheme_notes(columns)
-    spec = _oracle_spec(HamiltonianKind.WEAK_REL, config)
+    kind = HamiltonianKind.WEAK_REL
+    oracle = _ORACLES[kind]
+    header = ["n", *oracle.schemes, oracle.column, "max_dev_from_diag"]
+    _print_scheme_notes(config, kind, list(oracle.schemes))
+    spec = _oracle_spec(kind, config)
     hw = _hw(spec)
-    diag_shift = _oracle_shifts(spec, config.nmax)
+    shifts = oracle.solve(spec, config.nmax)
     rows = []
     for n in range(config.nmax + 1):
-        vals = [_SCHEMES[name].fn(spec, n).correction / hw for name in columns]
-        oracle = diag_shift[n]
-        rows.append([n, *vals, oracle, max(abs(v - oracle) for v in vals)])
+        vals = [scheme.fn(spec, n).correction / hw for scheme in oracle.schemes.values()]
+        rows.append([n, *vals, shifts[n], max(abs(v - shifts[n]) for v in vals)])
     _emit(rows, header, config)
     return 0
 
 
 def _oracle_spec(kind: HamiltonianKind, config: RunConfig) -> HamiltonianSpec:
-    # c does not enter the quartic oscillator, so every kind can share
-    # ratio_params; only the quartic one takes delta.
-    delta = config.delta if kind is HamiltonianKind.QUARTIC_AHO else 0.0
-    return HamiltonianSpec(kind, config.ratio_params(), delta=delta)
+    """The Hamiltonian kind's oracle solves, built from the flags its row names.
 
-
-def _oracle_shifts(spec: HamiltonianSpec, n_max: int) -> list[float]:
-    """Oracle shifts from (n + 1/2) hbar omega0 in units of hbar omega0."""
-    if spec.kind is HamiltonianKind.SHO:
-        return [0.0] * (n_max + 1)
-    hw = _hw(spec)
-    basis = 32
-    while basis < 4 * (n_max + 1):
-        basis *= 2
-    eigs = diagonalize(spec, basis, n_levels=n_max + 1)
-    return [(eigs[n] - (n + 0.5) * hw) / hw for n in range(n_max + 1)]
+    --ratio sets c so that hbar omega0 / m c^2 equals it; ratio 0 sets c = 1e9.
+    """
+    p = config.units
+    if p.hbar == 0:
+        raise ConfigInvalid("hbar = 0 has no level spacing; table2 and levels need hbar > 0")
+    flags = _ORACLES[kind].flags
+    if "ratio" in flags:
+        rm = config.ratio * p.m
+        c = math.sqrt(p.hbar * p.omega0 / rm) if rm else (math.inf if config.ratio else 1e9)
+        if not 0 < c < math.inf:
+            raise ConfigInvalid(f"ratio = {config.ratio} gives no finite c > 0 at these units")
+        p = make_params(p.m, p.k, c, p.hbar)
+    return HamiltonianSpec(kind, p, delta=config.delta if "delta" in flags else 0.0)
 
 
 def cmd_frequency(config: RunConfig) -> int:
@@ -302,15 +297,15 @@ def cmd_frequency(config: RunConfig) -> int:
 def cmd_levels(config: RunConfig) -> int:
     """Spectrum of one scheme with its oracle's energy beside each level."""
     scheme = config.scheme
-    if scheme not in _LEVEL_SCHEMES:
+    kind = _scheme_kinds(_COMMANDS["levels"].kinds).get(scheme)
+    if kind is None:
         raise ConfigInvalid(f"no spectrum scheme named {scheme!r}")
-    if config.show_scheme:
-        _print_scheme_notes([scheme])
-    entry = _SCHEMES[scheme]
-    spec = _oracle_spec(entry.oracle, config)
+    _print_scheme_notes(config, kind, [scheme])
+    oracle = _ORACLES[kind]
+    spec = _oracle_spec(kind, config)
     hw = _hw(spec)
-    levels = [entry.fn(spec, n) for n in range(config.nmax + 1)]
-    shifts = _oracle_shifts(spec, config.nmax)
+    levels = [oracle.schemes[scheme].fn(spec, n) for n in range(config.nmax + 1)]
+    shifts = oracle.solve(spec, config.nmax)
     rows = []
     for n, level in enumerate(levels):
         oe = n + 0.5 + shifts[n]  # in units of hbar omega0, which no small hbar underflows
@@ -323,13 +318,14 @@ def cmd_levels(config: RunConfig) -> int:
 
 
 def _warn_ignored_flags(args: argparse.Namespace) -> None:
-    """One stderr warning per levels flag the chosen scheme does not read."""
+    """One stderr warning per oracle flag given that the scheme's Hamiltonian does not read."""
     scheme = getattr(args, "scheme", None)
     if scheme is None:
         return
-    kind = _SCHEMES[scheme].oracle
-    for name, setting in _SETTINGS.items():
-        if setting.kind not in (None, kind) and getattr(args, name, None) is not None:
+    command = _COMMANDS[args.command]
+    reads = _ORACLES[_scheme_kinds(command.kinds)[scheme]].flags
+    for name in command.settings():
+        if name not in (*command.own, *reads) and getattr(args, name) is not None:
             warning = f"--{name} does not apply to scheme {scheme!r} and is ignored"
             print(f"actionvar: warning: {warning}", file=sys.stderr)
 
@@ -369,29 +365,21 @@ def _eps_list(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class _Setting:
-    """A flag and config-file key: help text, text converter and default.
-
-    kind is the one oracle Hamiltonian that reads the setting, where only
-    one does: levels warns when its scheme's oracle is another kind.
-    """
+    """A flag and config-file key: help text, text converter and default."""
 
     help: str
     convert: Callable[[str], object]
     default: object
-    kind: HamiltonianKind | None = None
 
 
-# --ratio sets c, which only the weak-relativistic kinetic term contains,
-# and --delta is the quartic strength.
 _SETTINGS = {
     "units": _Setting("comma list like m=1,k=1,hbar=1,c=10", _units, natural_params(c=10.0)),
     "eps": _Setting("comma list of eps values", _eps_list, (0.01, 0.05, 0.1)),
-    "ratio": _Setting("hbar*omega0 / m c^2", float, 0.01, HamiltonianKind.WEAK_REL),
+    "ratio": _Setting("hbar*omega0 / m c^2", float, 0.01),
     "nmax": _Setting("highest quantum number", int, 10),
     "delta": _Setting(
         "quartic strength (aho scheme); give a negative one as --delta=-1e-4 or --delta -0.0001",
-        float, 0.0, HamiltonianKind.QUARTIC_AHO,
-    ),
+        float, 0.0),
     "csv": _Setting("write CSV to this path", str, None),
 }
 
@@ -402,16 +390,28 @@ class _Command:
 
     run: Callable[[RunConfig], int]
     help: str
-    settings: tuple[str, ...]
+    own: tuple[str, ...]
+    kinds: tuple[HamiltonianKind, ...] = ()
     takes_scheme: bool = False
+
+    def settings(self) -> list[str]:
+        """Its own settings and the flags of the oracle kinds it solves, in _SETTINGS order."""
+        names = {*self.own, *(flag for kind in self.kinds for flag in _ORACLES[kind].flags)}
+        return [name for name in _SETTINGS if name in names]
 
 
 _COMMANDS = {
-    "table1": _Command(cmd_table1, "classical action comparison", ("eps",)),
-    "table2": _Command(cmd_table2, "quantum correction comparison", ("ratio", "nmax")),
+    "table1": _Command(
+        cmd_table1, "classical action comparison", ("eps",), (HamiltonianKind.FULL_REL,)
+    ),
+    "table2": _Command(
+        cmd_table2, "quantum correction comparison", ("nmax",), (HamiltonianKind.WEAK_REL,)
+    ),
     "freq": _Command(cmd_frequency, "weak-relativistic frequency report", ("eps",)),
     "levels": _Command(
-        cmd_levels, "spectrum CSV for one scheme", ("ratio", "nmax", "delta"), takes_scheme=True
+        cmd_levels, "spectrum CSV for one scheme", ("nmax",),
+        (HamiltonianKind.SHO, HamiltonianKind.WEAK_REL, HamiltonianKind.QUARTIC_AHO),
+        takes_scheme=True,
     ),
 }
 
@@ -480,8 +480,8 @@ def _make_parser() -> argparse.ArgumentParser:
     for command_name, command in _COMMANDS.items():
         sp = sub.add_parser(command_name, help=command.help)
         if command.takes_scheme:
-            sp.add_argument("--scheme", required=True, choices=_LEVEL_SCHEMES)
-        for name in command.settings:
+            sp.add_argument("--scheme", required=True, choices=list(_scheme_kinds(command.kinds)))
+        for name in command.settings():
             sp.add_argument(f"--{name}", help=_SETTINGS[name].help)
         sp.add_argument("--config", help="flat key = value config file")
         for name in ("units", "csv"):  # the settings every subcommand takes
@@ -491,8 +491,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import warnings
-
     args = _make_parser().parse_args(argv)
     # a warning prints as one stderr line; Python's filters still decide which print
     python_format = warnings.formatwarning

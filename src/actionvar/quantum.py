@@ -379,7 +379,7 @@ def aho_coeffs(
     """
     energy_point(params, e)
     x2sq = 2.0 * e / params.k
-    warn_if_rough("aho_coeffs", "|delta| x2^4", abs(delta) * x2sq**2, 0.1 * params.k * x2sq)
+    warn_if_rough("aho_coeffs", "|delta| x2^4", abs(delta) * x2sq * x2sq, 0.1 * params.k * x2sq)
     lam = params.hbar * params.omega0 / (4.0 * e)
     return 1.0, 1.0 + lam, 1.0 - 1.5 * lam + 2.0 * lam * lam, lam
 
@@ -412,20 +412,21 @@ def aho_coeffs_derived(
 def quantum_action_aho(params: OscillatorParams, e: float, delta: float) -> ActionResult:
     """Quartic-anharmonic quantum action to first order in delta.
 
-    J = e/omega0 - hbar/2 - (3 delta / 32 m^2 omega0^3)(4 hbar^2 +
-    16 e^2/omega0^2), the hbar-safe rewriting of the lambda form.
+    J = e/omega0 - hbar/2 - (3 delta / 32 m^2 omega0^3)(4 hbar^2 + 16 e^2/omega0^2),
+    the hbar-safe rewriting of the lambda form; delta = 0 forms no e^2 term.
     """
     energy_point(params, e)
     x2sq = 2.0 * e / params.k
     warn_if_rough(
-        "quantum_action_aho", "|delta| x2^4", abs(delta) * x2sq**2, 0.1 * params.k * x2sq
+        "quantum_action_aho", "|delta| x2^4", abs(delta) * x2sq * x2sq, 0.1 * params.k * x2sq
     )
     m, w0, hbar = params.m, params.omega0, params.hbar
-    j = (
-        e / w0
-        - hbar / 2.0
-        - (3.0 * delta / (32.0 * m * m * w0**3)) * (4.0 * hbar * hbar + 16.0 * e * e / (w0 * w0))
-    )
+    j = e / w0 - hbar / 2.0
+    if delta:
+        g = 3.0 * delta / (32.0 * m * m * w0**3)
+        j -= g * (4.0 * hbar * hbar + 16.0 * e * e / (w0 * w0))
+    if not math.isfinite(j):
+        raise ParameterOutOfRange(f"quantum_action_aho: J = {j} at e = {e!r}, delta = {delta!r}")
     return ActionResult(j)
 
 

@@ -101,9 +101,10 @@ def test_criterion_3_classical_table_columns():
     ep = energy_point(p, e)
     unit = e / p.omega0
     # the four columns table1 prints, from the scheme table that drives it
-    columns = cli._checked_by(HamiltonianKind.FULL_REL)
+    schemes = cli._ORACLES[HamiltonianKind.FULL_REL].schemes
+    columns = list(schemes)
     assert columns == ["fullrel_pdx", "fullrel_xdp", "weakrel_pdx", "weakrel_xdp"]
-    vals = [cli._SCHEMES[name].fn(p, ep).j_value / unit for name in columns]
+    vals = [schemes[name].fn(p, ep).j_value / unit for name in columns]
     weak_pdx, weak_xdp = vals[2:]
     spread = max(vals) - min(vals)
     printed = {f"{weak_pdx:.6f}", f"{weak_xdp:.6f}"}

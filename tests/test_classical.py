@@ -200,7 +200,8 @@ class TestActionWrXdp:
     def test_first_order_truncation(self):
         # the momentum form cut at order eps, as table1's weakrel_xdp column computes it
         p, ep = params_for_eps(0.1)
-        first_order = cli._SCHEMES["weakrel_xdp"].fn(p, ep).j_value
+        scheme = cli._ORACLES[HamiltonianKind.FULL_REL].schemes["weakrel_xdp"]
+        first_order = scheme.fn(p, ep).j_value
         assert first_order == pytest.approx(1.01875, rel=1e-12)
 
     def test_monotone_in_energy(self):

@@ -290,6 +290,9 @@ class TestLevels:
             (["--scheme", "jwkb"], "--delta", "1e-3"),
             (["--scheme", "aho", "--delta", "1e-3"], "--ratio", "0.3"),
             (["--scheme", "sho"], "--ratio", "0.3"),  # c does not enter the harmonic levels
+            # a ratio that gives no finite c is never turned into one where c is not read
+            (["--scheme", "sho"], "--ratio", "1e-320"),
+            (["--scheme", "aho", "--delta", "1e-3"], "--ratio", "1e-320"),
         ],
     )
     def test_ignored_flag_warns_and_leaves_output_alone(self, capsys, argv, flag, value):
@@ -432,6 +435,9 @@ class TestCsvOutput:
         assert "I/O error" in err
 
 
+_NO_FINITE_C = "ratio = 1e-310 gives no finite c > 0 at these units"
+
+
 class TestConfigLayering:
     def test_config_file_sets_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -520,6 +526,16 @@ class TestConfigLayering:
         assert code == 0
         assert out == run(capsys, "table2", "--nmax", "1")[1]
 
+    @pytest.mark.parametrize("command", ["table1", "freq"])
+    def test_nonfinite_ratio_in_config_refused_where_no_flag_reads_it(
+        self, capsys, tmp_path, command
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ratio = inf\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "actionvar: config error: ratio must be finite, got inf\n"
+
     def test_malformed_config_value_names_the_setting(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ratio = abc\n")
@@ -549,6 +565,19 @@ class TestConfigLayering:
         [
             (["table2", "--nmax", "-1"], "nmax must be >= 0, got -1"),
             (["table2", "--ratio", "-1"], "ratio must be >= 0, got -1.0"),
+            *[
+                ([*argv, "--ratio", value], f"ratio must be finite, got {value}")
+                for argv in (["table2"], ["levels", "--scheme", "sho"])
+                for value in ("nan", "inf")
+            ],
+            *[
+                ([*argv, "--ratio", "1e-310"], _NO_FINITE_C)
+                for argv in (["table2"], ["levels", "--scheme", "rs"])
+            ],
+            (  # r m underflows to 0
+                ["table2", "--ratio", "1e-200", "--units", "m=1e-200,k=1e-200"],
+                "ratio = 1e-200 gives no finite c > 0 at these units",
+            ),
             (["table1", "--units", "m"], "units entry 'm' is not key=value"),
             (["table1", "--units", "c=x"], "bad unit value in 'c=x'"),
         ],
@@ -696,3 +725,22 @@ def test_help_matches_the_golden_file(capsys, monkeypatch, name, argv):
         main([*argv, "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == (_GOLDEN / f"{name}.txt").read_text(encoding="ascii")
+
+
+def test_oracle_flags_are_the_flags_their_hamiltonians_read(capsys):
+    # table2 and levels offer a flag beyond --nmax, --scheme and the flags every
+    # subcommand takes exactly when a Hamiltonian they solve reads it
+    kind_of = {name: kind for kind, oracle in cli._ORACLES.items() for name in oracle.schemes}
+    (subparsers,) = [a for a in cli._make_parser()._actions if a.choices and a.dest == "command"]
+    flags = {
+        name: {opt: action for action in sp._actions for opt in action.option_strings}
+        for name, sp in subparsers.choices.items()
+    }
+    shared = set.intersection(*(set(f) for f in flags.values()))
+    offered = (set(flags["table2"]) | set(flags["levels"])) - shared - {"--nmax", "--scheme"}
+    _, out, _ = run(capsys, "table2", "--nmax", "0")
+    header, _ = table_rows(out)
+    printed = [*header, *flags["levels"]["--scheme"].choices]
+    solved = {kind_of[name] for name in printed if name in kind_of}
+    read = {f"--{flag}" for kind in solved for flag in cli._ORACLES[kind].flags}
+    assert offered == read == {"--ratio", "--delta"}

@@ -629,6 +629,12 @@ class TestAhoCoeffs:
         with pytest.warns(WeakRegimeWarning):
             aho_coeffs(p, 1.0, 0.5)
 
+    def test_overflowing_trust_term_warns(self):
+        # delta x2^4 overflows at e = 1e200; the coefficients do not depend on it
+        with pytest.warns(WeakRegimeWarning, match=r"\|delta\| x2\^4 = inf > 2e\+199"):
+            coeffs = aho_coeffs(natural_params(), 1e200, 1e-3)
+        assert coeffs == (1.0, 1.0, 1.0, 2.5e-201)
+
 
 class TestQuantumActionAho:
     def test_substitution(self):
@@ -638,6 +644,14 @@ class TestQuantumActionAho:
     def test_delta_zero_reduction(self):
         p = natural_params()
         assert quantum_action_aho(p, 1.5, 0.0).j_value == pytest.approx(1.0, rel=1e-12)
+
+    def test_overflowing_action_refused(self):
+        p = natural_params()
+        with pytest.warns(WeakRegimeWarning):
+            with pytest.raises(ParameterOutOfRange, match=r"J = -inf at e = 1e\+200, delta"):
+                quantum_action_aho(p, 1e200, 1e-3)
+        # delta = 0 forms no e^2 term, so the harmonic J stays exact
+        assert quantum_action_aho(p, 1e200, 0.0).j_value == 1e200 - 0.5
 
     def test_residue_path_matches(self):
         p = natural_params()
