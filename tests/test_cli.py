@@ -435,7 +435,8 @@ class TestCsvOutput:
         assert "I/O error" in err
 
 
-_NO_FINITE_C = "ratio = 1e-310 gives no finite c > 0 at these units"
+def _no_finite_c(ratio: str) -> str:
+    return f"ratio = {ratio} gives no finite c > 0 at these units"
 
 
 class TestConfigLayering:
@@ -571,12 +572,12 @@ class TestConfigLayering:
                 for value in ("nan", "inf")
             ],
             *[
-                ([*argv, "--ratio", "1e-310"], _NO_FINITE_C)
+                ([*argv, "--ratio", "1e-310"], _no_finite_c("1e-310"))
                 for argv in (["table2"], ["levels", "--scheme", "rs"])
             ],
             (  # r m underflows to 0
                 ["table2", "--ratio", "1e-200", "--units", "m=1e-200,k=1e-200"],
-                "ratio = 1e-200 gives no finite c > 0 at these units",
+                _no_finite_c("1e-200"),
             ),
             (["table1", "--units", "m"], "units entry 'm' is not key=value"),
             (["table1", "--units", "c=x"], "bad unit value in 'c=x'"),
@@ -714,8 +715,10 @@ def test_unconverging_basis_exits_two_at_the_cap(capsys, argv, move):
 
 # Each help-*.txt under tests/golden holds the --help text of `actionvar` or one
 # subcommand at 80 columns: the flags, the --scheme choices and their help.
-_SUBCOMMANDS = ("table1", "table2", "freq", "levels")
-_HELP_RUNS = [("help", []), *[(f"help-{name}", [name]) for name in _SUBCOMMANDS]]
+_HELP_RUNS = [
+    ("help", []),
+    *[(f"help-{name}", [name]) for name in ("table1", "table2", "freq", "levels")],
+]
 
 
 @pytest.mark.parametrize("name, argv", _HELP_RUNS, ids=[name for name, _ in _HELP_RUNS])
